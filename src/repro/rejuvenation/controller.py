@@ -22,13 +22,35 @@ from repro.rejuvenation.policy import RejuvenationPolicy
 
 _log = get_logger("rejuvenation.controller")
 from repro.system.anomalies import AnomalyProfile
-from repro.system.failure import FailureCondition, MemoryExhaustion, SystemView
+from repro.system.failure import FailureCondition, SystemView
 from repro.system.monitor import FeatureMonitorClient
 from repro.system.resources import MachineState
 from repro.system.server import AppServer
-from repro.system.simulator import CampaignConfig
+from repro.system.simulator import CampaignConfig, resolve_failure
 from repro.system.tpcw import EmulatedBrowserPool
 from repro.utils.rng import as_rng
+
+
+#: CampaignConfig switches no controller honours yet: controlled nodes
+#: are stepped without the anomaly injectors, so a config that enables
+#: one is rejected instead of silently running as the baseline leak.
+_UNSUPPORTED_SWITCHES = (
+    "use_time_injectors",
+    "use_lock_injector",
+    "use_fd_injector",
+    "use_conn_injector",
+    "use_frag_injector",
+)
+
+
+def check_campaign(campaign: CampaignConfig, consumer: str) -> None:
+    """Reject the campaign switches ``consumer`` cannot honour."""
+    for name in _UNSUPPORTED_SWITCHES:
+        if getattr(campaign, name):
+            raise ValueError(
+                f"{consumer} does not support CampaignConfig.{name}: "
+                "controlled nodes run without anomaly injectors"
+            )
 
 
 @dataclass(frozen=True)
@@ -116,10 +138,11 @@ class ManagedSystem:
         fault_profile=None,
         sanitize_config=None,
     ) -> None:
+        check_campaign(campaign, "ManagedSystem")
         self.campaign = campaign
         self.managed = managed
         self.policy = policy
-        self.failure_condition = failure_condition or MemoryExhaustion()
+        self.failure_condition = resolve_failure(campaign, failure_condition)
         #: Optional :class:`repro.faults.FaultProfile` corrupting the
         #: monitor stream *before* the sanitize layer sees it — the
         #: robustness harness for the control loop.
@@ -187,7 +210,12 @@ class ManagedSystem:
                 p_thread_range=cfg.p_thread_range,
             )
             state = MachineState(cfg.machine)
-            pool = EmulatedBrowserPool(cfg.n_browsers, cfg.mix, seed=r_pool)
+            pool = EmulatedBrowserPool(
+                cfg.n_browsers,
+                cfg.mix,
+                seed=r_pool,
+                use_sessions=cfg.use_session_chain,
+            )
             server = AppServer(cfg.server, state, pool, profile, seed=r_server)
             fmc = FeatureMonitorClient(cfg.monitor, seed=r_monitor)
             fmc.reset(0.0)

@@ -44,6 +44,7 @@ from repro.rejuvenation.controller import (
     Episode,
     ManagedRunLog,
     ManagedSystemConfig,
+    check_campaign,
 )
 from repro.rejuvenation.policy import (
     NoRejuvenation,
@@ -52,17 +53,23 @@ from repro.rejuvenation.policy import (
     RejuvenationPolicy,
 )
 from repro.system.anomalies import AnomalyProfile
-from repro.system.failure import FailureCondition, MemoryExhaustion, SystemView
+from repro.system.failure import FailureCondition, SystemView
 from repro.system.monitor import FeatureMonitorClient
 from repro.system.resources import MachineState
 from repro.system.server import AppServer
-from repro.system.simulator import CampaignConfig
+from repro.system.simulator import CampaignConfig, resolve_failure
 from repro.system.tpcw import EmulatedBrowserPool
 from repro.utils.rng import as_rng
 
 _log = get_logger("rejuvenation.fleet")
 
 _N_RAW = len(FEATURES)
+
+
+def _no_windows() -> tuple[np.ndarray, np.ndarray]:
+    """An empty ``(ids, windows)`` ingest result."""
+    return np.empty(0, dtype=np.int64), np.empty((0, 2 * _N_RAW))
+
 
 #: Node lifecycle states.
 NODE_LIVE = 0  # serving traffic, policy consulted
@@ -298,8 +305,9 @@ class SimulatedFleetSource(FleetSource):
         failure_condition: "FailureCondition | None" = None,
         fault_profile=None,
     ) -> None:
+        check_campaign(campaign, "SimulatedFleetSource")
         self.campaign = campaign
-        self.failure_condition = failure_condition or MemoryExhaustion()
+        self.failure_condition = resolve_failure(campaign, failure_condition)
         self.fault_profile = fault_profile
         self.dt = campaign.dt
 
@@ -328,7 +336,12 @@ class SimulatedFleetSource(FleetSource):
             p_thread_range=cfg.p_thread_range,
         )
         state = MachineState(cfg.machine)
-        pool = EmulatedBrowserPool(cfg.n_browsers, cfg.mix, seed=r_pool)
+        pool = EmulatedBrowserPool(
+            cfg.n_browsers,
+            cfg.mix,
+            seed=r_pool,
+            use_sessions=cfg.use_session_chain,
+        )
         server = AppServer(cfg.server, state, pool, profile, seed=r_server)
         fmc = FeatureMonitorClient(cfg.monitor, seed=r_monitor)
         fmc.reset(0.0)
@@ -589,30 +602,40 @@ class FleetStream:
 
     def ingest(
         self, ids: np.ndarray, rows: "np.ndarray | list"
-    ) -> dict[int, np.ndarray]:
-        """Feed a tick's raw rows; return completed windows per node.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Feed a tick's raw rows; return the windows they completed.
 
-        When one node completes several windows in one tick, only the
-        last survives — the same "last completed window wins" the
-        single-node loop implements.
+        Returns ``(ids, windows)``: the ids of the nodes that completed a
+        window, sorted ascending, and their ``(k, 30)`` window rows. When
+        one node completes several windows in one batch, only the last
+        survives — the same "last completed window wins" the single-node
+        loop implements.
         """
         ids = np.asarray(ids, dtype=np.int64)
-        out: dict[int, np.ndarray] = {}
+        if ids.size:
+            ids, X = self._coerce(ids, rows)
         if ids.size == 0:
-            return out
-        X = self._coerce(ids, rows)
-        ids = X[0]
-        X = X[1]
+            return _no_windows()
+        # Clean streams hand over one row per node in id order: one round,
+        # already sorted.
+        if ids.size < 2 or (ids[1:] > ids[:-1]).all():
+            return self._ingest_unique(ids, X)
         # Rounds of unique node ids: per-node sequential semantics with
-        # vectorized rounds. Clean streams have one row per node — one
-        # round.
+        # vectorized rounds (duplication faults, out-of-order callers).
+        got_ids, got_w = [], []
         while ids.size:
             _, first = np.unique(ids, return_index=True)
             take = np.zeros(ids.size, dtype=bool)
             take[first] = True
-            self._ingest_unique(ids[take], X[take], out)
+            done, wins = self._ingest_unique(ids[take], X[take])
+            got_ids.append(done)
+            got_w.append(wins)
             ids, X = ids[~take], X[~take]
-        return out
+        # Later rounds hold later windows: keep each node's last one.
+        done = np.concatenate(got_ids)[::-1]
+        wins = np.concatenate(got_w)[::-1]
+        done, last = np.unique(done, return_index=True)
+        return done, wins[last]
 
     def _coerce(self, ids, rows):
         """Shape-screen raw rows into an (k, 15) float64 matrix.
@@ -640,86 +663,98 @@ class FleetStream:
             return np.empty(0, dtype=np.int64), np.empty((0, _N_RAW))
         return np.asarray(gids, dtype=np.int64), np.vstack(good)
 
-    def _ingest_unique(self, ids, X, out) -> None:
+    def _ingest_unique(self, ids, X) -> tuple[np.ndarray, np.ndarray]:
+        """One round (at most one row per node); returns the windows it
+        completed, in ``ids`` order. ``X`` is never written to."""
         metrics = get_metrics()
-        # -- sanitizer: drop non-finite / negative-tgen rows
-        ok = np.isfinite(X).all(axis=1) & (X[:, 0] >= 0)
-        if not ok.all():
+        # -- sanitizer: drop non-finite / negative-tgen rows. A clean batch
+        # passes the whole-matrix test and skips the per-row mask and copy.
+        if not (np.isfinite(X).all() and (X[:, 0] >= 0).all()):
+            ok = np.isfinite(X).all(axis=1) & (X[:, 0] >= 0)
             bad = ids[~ok]
             self._dropped[bad] += 1
             metrics.inc("sanitize.stream_dropped_total", float(bad.size))
-        ids, X = ids[ok], X[ok]
-        if not ids.size:
-            return
-        tgen = X[:, 0] + self._offset[ids]
+            ids, X = ids[ok], X[ok]
+            if not ids.size:
+                return _no_windows()
+        offset = self._offset[ids]
+        smax = self._smax[ids]
+        tgen = X[:, 0] + offset
         # -- clock-reset rebase (rare; per-candidate scalar path)
         cand = np.flatnonzero(
             (self._rlen[ids] > 0)
-            & (tgen < self._cfg.clock_reset_fraction * self._smax[ids])
+            & (tgen < self._cfg.clock_reset_fraction * smax)
         )
         n_resets = 0
         for k in cand:
             i = ids[k]
             med = float(np.median(self._ring[i, : self._rlen[i]]))
-            if med > 0 and self._smax[i] - tgen[k] > self._cfg.min_reset_drop * med:
-                self._offset[i] += self._smax[i] + med - tgen[k]
-                tgen[k] = X[k, 0] + self._offset[i]
+            if med > 0 and smax[k] - tgen[k] > self._cfg.min_reset_drop * med:
+                self._offset[i] += smax[k] + med - tgen[k]
+                offset[k] = self._offset[i]
+                tgen[k] = X[k, 0] + offset[k]
                 self._resets[i] += 1
                 n_resets += 1
         if n_resets:
             metrics.inc("sanitize.stream_resets_total", float(n_resets))
         # -- interval ring (median tracker) + monotone max advance
-        adv = tgen > self._smax[ids]
-        app = adv & (self._smax[ids] > 0)
+        adv = tgen > smax
+        app = adv & (smax > 0)
         ai = ids[app]
         if ai.size:
             pos = self._rpos[ai]
-            self._ring[ai, pos] = tgen[app] - self._smax[ai]
+            self._ring[ai, pos] = tgen[app] - smax[app]
             self._rpos[ai] = (pos + 1) % self._RING
             self._rlen[ai] = np.minimum(self._rlen[ai] + 1, self._RING)
         self._smax[ids[adv]] = tgen[adv]
         # Rewrite the clock column only where an offset is active — the
         # scalar sanitizer leaves untouched rows byte-identical.
-        off = self._offset[ids] != 0.0
+        off = offset != 0.0
         if off.any():
             X = X.copy()
             X[off, 0] = tgen[off]
         # -- aggregator, repair mode
         nbin = (tgen // self.window_seconds).astype(np.int64)
+        has_bin = self._has_bin[ids]
+        cur_bin = self._bin[ids]
         late = tgen < self._last_tgen[ids]
-        drop_late = late & (~self._has_bin[ids] | (nbin < self._bin[ids]))
-        if drop_late.any():
-            self._late[ids[drop_late]] += 1
-            metrics.inc("sanitize.online_late_dropped", float(drop_late.sum()))
-        ins_late = late & ~drop_late
-        in_order = ~late
-        fin = (
-            in_order
-            & self._has_bin[ids]
-            & (nbin != self._bin[ids])
-            & (self._wcount[ids] > 0)
-        )
+        any_late = bool(late.any())
+        if any_late:
+            drop_late = late & (~has_bin | (nbin < cur_bin))
+            if drop_late.any():
+                self._late[ids[drop_late]] += 1
+                metrics.inc("sanitize.online_late_dropped", float(drop_late.sum()))
+            ins_late = late & ~drop_late
+            in_order = ~late
+            fin = in_order & has_bin & (nbin != cur_bin)
+        else:
+            fin = has_bin & (nbin != cur_bin)
+        fin &= self._wcount[ids] > 0
+        done = _no_windows()
         if fin.any():
-            kept, wins = self._finalize(ids[fin])
-            for j, w in zip(kept, wins):
-                out[int(j)] = w
-        need = int(self._wcount[ids].max()) + 1
+            done = self._finalize(ids[fin])
+        wcount = self._wcount[ids]
+        need = int(wcount.max()) + 1
         if need > self._cap:
             self._grow(need)
-        li = ids[ins_late]
-        if li.size:
-            # Late but inside the open window: buffer out of order; the
-            # finalize pass re-sorts, exactly like the scalar repair mode.
-            self._wbuf[li, self._wcount[li]] = X[ins_late]
-            self._wcount[li] += 1
-            self._unsorted[li] = True
-        ii = ids[in_order]
-        if ii.size:
-            self._bin[ii] = nbin[in_order]
-            self._has_bin[ii] = True
-            self._wbuf[ii, self._wcount[ii]] = X[in_order]
-            self._wcount[ii] += 1
-            self._last_tgen[ii] = tgen[in_order]
+        if any_late:
+            li = ids[ins_late]
+            if li.size:
+                # Late but inside the open window: buffer out of order; the
+                # finalize pass re-sorts, exactly like the scalar repair
+                # mode.
+                self._wbuf[li, wcount[ins_late]] = X[ins_late]
+                self._wcount[li] = wcount[ins_late] + 1
+                self._unsorted[li] = True
+            ids, X = ids[in_order], X[in_order]
+            nbin, tgen, wcount = nbin[in_order], tgen[in_order], wcount[in_order]
+        if ids.size:
+            self._bin[ids] = nbin
+            self._has_bin[ids] = True
+            self._wbuf[ids, wcount] = X
+            self._wcount[ids] = wcount + 1
+            self._last_tgen[ids] = tgen
+        return done
 
     def _grow(self, need: int) -> None:
         new_cap = max(2 * self._cap, need)
@@ -788,7 +823,7 @@ class _ScalarPlane:
         self._agg[i].reset()
         self._pol[i].reset()
 
-    def ingest(self, ids, rows) -> dict[int, np.ndarray]:
+    def ingest(self, ids, rows) -> tuple[np.ndarray, np.ndarray]:
         out: dict[int, np.ndarray] = {}
         for i, raw in zip(ids, rows):
             i = int(i)
@@ -798,7 +833,10 @@ class _ScalarPlane:
             window = self._agg[i].add(decision.row)
             if window is not None:
                 out[i] = window
-        return out
+        if not out:
+            return _no_windows()
+        done = np.asarray(sorted(out), dtype=np.int64)
+        return done, np.vstack([out[i] for i in done.tolist()])
 
     def consult(self, ids, X, ages):
         n = ids.size
@@ -886,7 +924,7 @@ class _BatchedPlane:
         self._pred[i] = np.nan
         self._lb[i] = np.nan
 
-    def ingest(self, ids, rows) -> dict[int, np.ndarray]:
+    def ingest(self, ids, rows) -> tuple[np.ndarray, np.ndarray]:
         return self.stream.ingest(ids, rows)
 
     def consult(self, ids, X, ages):
@@ -1033,8 +1071,10 @@ class FleetController:
         wants = np.zeros(n, dtype=bool)
         ep_pred: list[float | None] = [None] * n
         # Predictions made per episode, so the true RTTF can be emitted
-        # retrospectively on crash: (global time, episode age, predicted).
-        pending: list[list[tuple[float, float, float]]] = [[] for _ in range(n)]
+        # retrospectively on crash: node i's first pred_count[i] records
+        # of (global time, episode age, predicted), in the order made.
+        pred_log = np.zeros((n, 16, 3), dtype=np.float64)
+        pred_count = np.zeros(n, dtype=np.int64)
         allowed_down = int(np.floor((1.0 - fcfg.capacity_floor) * n + 1e-9))
 
         for i in range(n):
@@ -1056,10 +1096,11 @@ class FleetController:
                 )
             )
             end_t = ep_start[i] + uptime
-            if outcome == "crash":
-                for t_pred, age, pred in pending[i]:
-                    truth = nows[i] - age
-                    bus.emit("fleet.rttf_error", t_pred, pred - truth)
+            if outcome == "crash" and pred_count[i]:
+                recs = pred_log[i, : pred_count[i]]
+                errors = recs[:, 2] - (nows[i] - recs[:, 1])
+                for t_pred, err in zip(recs[:, 0].tolist(), errors.tolist()):
+                    bus.emit("fleet.rttf_error", t_pred, err)
             bus.event(
                 end_t,
                 outcome,
@@ -1069,7 +1110,7 @@ class FleetController:
                 predicted_rttf=predicted,
             )
             metrics.inc(f"fleet.episodes_total.{outcome}")
-            pending[i].clear()
+            pred_count[i] = 0
             ep_pred[i] = None
             wants[i] = False
             drain_until[i] = np.inf
@@ -1135,19 +1176,18 @@ class FleetController:
                 )
                 nows[running] += dt
                 # 4. sanitize + aggregate the tick's samples
-                completed = plane.ingest(sample_ids, rows)
-                comp_ids = np.asarray(sorted(completed), dtype=np.int64)
-                for i in comp_ids:
-                    i = int(i)
-                    last_window[i] = completed[i]
-                    has_lw[i] = True
-                    lw_time[i] = nows[i]
+                comp_ids, comp_w = plane.ingest(sample_ids, rows)
+                last_window[comp_ids] = comp_w
+                has_lw[comp_ids] = True
+                lw_time[comp_ids] = nows[comp_ids]
                 # 5. build the scoring set: freshly completed windows of
-                # live nodes + stale-hold re-evaluations
-                consult_ids = comp_ids[status[comp_ids] == NODE_LIVE]
+                # live nodes + stale-hold re-evaluations. A node that just
+                # completed a window has lw_time == now, so it is never
+                # stale (staleness > 0).
+                fresh = status[comp_ids] == NODE_LIVE
+                consult_ids = comp_ids[fresh]
                 if due_ids.size:
                     d = due_ids[status[due_ids] == NODE_LIVE]
-                    d = d[~np.isin(d, comp_ids)]
                     stale = d[
                         has_lw[d]
                         & (nows[d] - lw_time[d] > staleness)
@@ -1158,28 +1198,29 @@ class FleetController:
                 if stale.size:
                     next_held[stale] = nows[stale] + mcfg.window_seconds
                     metrics.inc("fleet.stale_holds_total", float(stale.size))
-                score_ids = np.concatenate([consult_ids, stale])
+                    score_ids = np.concatenate([consult_ids, stale])
+                    X = np.concatenate([comp_w[fresh], last_window[stale]])
+                else:
+                    score_ids, X = consult_ids, comp_w[fresh]
                 if score_ids.size:
-                    X = np.concatenate(
-                        [
-                            np.vstack([completed[int(i)] for i in consult_ids])
-                            if consult_ids.size
-                            else np.empty((0, 2 * _N_RAW)),
-                            last_window[stale],
-                        ]
-                    )
                     with profiler.stage("fleet.predict"):
                         trig, preds, _lbs = plane.consult(
                             score_ids, X, nows[score_ids]
                         )
                     log.scoring_calls += 1
                     log.scored_rows += int(score_ids.size)
-                    for k, i in enumerate(score_ids):
-                        if not np.isnan(preds[k]):
-                            i = int(i)
-                            pending[i].append(
-                                (walls[i] + nows[i], nows[i], float(preds[k]))
+                    ok = ~np.isnan(preds)
+                    pi = score_ids[ok]
+                    if pi.size:
+                        slot = pred_count[pi]
+                        if slot.max() >= pred_log.shape[1]:
+                            pred_log = np.concatenate(
+                                [pred_log, np.zeros_like(pred_log)], axis=1
                             )
+                        pred_log[pi, slot, 0] = walls[pi] + nows[pi]
+                        pred_log[pi, slot, 1] = nows[pi]
+                        pred_log[pi, slot, 2] = preds[ok]
+                        pred_count[pi] = slot + 1
                     # Fresh policy decisions overwrite any queued request:
                     # a node whose prediction recovered above the margin
                     # withdraws from the restart queue.

@@ -104,7 +104,8 @@ class CampaignConfig:
     #: :func:`repro.system.failure.parse_failure`), e.g. ``"mem"``,
     #: ``"rt>8"``, ``"fd|rt>8"``. ``None`` keeps the historical default
     #: (:class:`MemoryExhaustion`). An explicit condition object passed
-    #: to :class:`TestbedSimulator` always wins. Part of the config so
+    #: to :class:`TestbedSimulator` or a rejuvenation controller always
+    #: wins (:func:`resolve_failure`). Part of the config so
     #: campaign cells are content-addressed per failure definition.
     failure: "str | None" = None
     #: Execution substrate: ``"fused"`` runs the event-fused engine
@@ -164,6 +165,19 @@ class CampaignConfig:
             parse_failure(self.failure)  # fail at construction, not mid-run
 
 
+def resolve_failure(
+    config: CampaignConfig, condition: "FailureCondition | None" = None
+) -> FailureCondition:
+    """The failure condition runs of ``config`` end on: an explicit
+    ``condition`` wins, then ``config.failure``, then
+    :class:`MemoryExhaustion`."""
+    if condition is not None:
+        return condition
+    if config.failure is not None:
+        return parse_failure(config.failure)
+    return MemoryExhaustion()
+
+
 class TestbedSimulator:
     """Simulates monitoring campaigns, producing a :class:`DataHistory`."""
 
@@ -175,12 +189,7 @@ class TestbedSimulator:
         failure_condition: FailureCondition | None = None,
     ) -> None:
         self.config = config or CampaignConfig()
-        if failure_condition is None:
-            if self.config.failure is not None:
-                failure_condition = parse_failure(self.config.failure)
-            else:
-                failure_condition = MemoryExhaustion()
-        self.failure_condition = failure_condition
+        self.failure_condition = resolve_failure(self.config, failure_condition)
 
     def run_once(self, seed: "int | None | np.random.Generator" = None) -> RunRecord:
         """Simulate one run from VM start to fail event (or truncation).

@@ -292,6 +292,87 @@ class TestFleetTelemetry:
         assert 0.0 < report.availability <= 1.0
 
 
+class NodeTaggedSource(SyntheticFleetSource):
+    """Synthetic fleet whose idle ``cpu_nice`` column carries the node id,
+    so every scored window row names its node (the window mean of a
+    constant column is that constant)."""
+
+    def _rows(self, ids, tgen):
+        rows = super()._rows(ids, tgen)
+        rows[:, 10] = ids
+        return rows
+
+
+class RecordingModel:
+    """Pass-through model that logs ``(node, window mean tgen, prediction)``
+    per scored row, in call order. Rows of every third node predict NaN,
+    which no engine may record as a prediction."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.rows = []
+
+    def predict(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        pred = np.array(self.inner.predict(X), dtype=np.float64)
+        node = X[:, 10].astype(np.int64)
+        pred[node % 3 == 0] = np.nan
+        self.rows.extend(zip(node.tolist(), X[:, 0].tolist(), pred.tolist()))
+        return pred
+
+
+def predictions_in_crashed_episodes(log, rows):
+    """Non-NaN predictions made during episodes that ended in a crash.
+
+    A node's predictions split into episodes where the window mean tgen
+    (episode-local time) drops; only a node's final episode can end
+    before its first window completes, so the j-th group is episode j.
+    """
+    groups = {}
+    last_t = {}
+    for node, t_mean, pred in rows:
+        if node not in groups or t_mean < last_t[node]:
+            groups.setdefault(node, []).append([])
+        groups[node][-1].append(pred)
+        last_t[node] = t_mean
+    count = 0
+    for node, eps in groups.items():
+        episodes = log.node_logs[node].episodes
+        assert len(eps) <= len(episodes)
+        for preds, ep in zip(eps, episodes):
+            if ep.outcome == "crash":
+                count += int(np.count_nonzero(~np.isnan(preds)))
+    return count
+
+
+class TestRttfErrorSeries:
+    def test_batched_matches_scalar_and_counts_crashed_predictions(self):
+        # A 40 s margin lets fast-leaking nodes crash before two
+        # sub-margin windows arrive, while slow leakers still restart.
+        series, logs = {}, {}
+        for engine in ("scalar", "batched"):
+            obs.reset()
+            model = RecordingModel(SPEC.linear_model())
+            log = FleetController(
+                NodeTaggedSource(SPEC),
+                managed_config(),
+                PredictiveRejuvenation(model, rttf_margin=40.0),
+                FleetConfig(n_nodes=8, engine=engine),
+            ).run(seed=2)
+            s = get_telemetry().snapshot()["series"]["fleet.rttf_error"]
+            assert s["stride"] == 1, "test scenario overflowed the series ring"
+            points = np.asarray(s["points"], dtype=np.float64)
+            assert len(points) == s["total"]
+            assert len(points) == predictions_in_crashed_episodes(log, model.rows)
+            series[engine], logs[engine] = points, log
+        assert fleet_key(logs["scalar"]) == fleet_key(logs["batched"])
+        assert logs["batched"].n_crashes > 0
+        assert logs["batched"].n_rejuvenations > 0
+        assert len(series["batched"]) > 0
+        assert series["scalar"][:, 0].tobytes() == series["batched"][:, 0].tobytes()
+        assert series["scalar"][:, 1].tobytes() == series["batched"][:, 1].tobytes()
+
+
 class TestFleetStream:
     """The SoA sanitize+aggregate plane against its scalar references."""
 
@@ -319,8 +400,8 @@ class TestFleetStream:
             rows[u < 0.05, 3] = np.nan
             back = u > 0.93
             rows[back, 0] = np.maximum(t[ids][back] - 3.0, 0.0)
-            for i, win in stream.ingest(ids, rows.copy()).items():
-                got.append((i, win))
+            done, wins = stream.ingest(ids, rows.copy())
+            got.extend(zip(done.tolist(), wins))
             for i, raw in zip(ids, rows):
                 d = sans[int(i)].process(raw.copy())
                 if d.row is None:
@@ -338,22 +419,40 @@ class TestFleetStream:
     def test_duplicate_ids_in_one_batch(self):
         # Duplication faults can put several rows for one node in one
         # tick; they must apply in order, exactly like sequential adds.
+        # "two_windows" completes two windows (at t=12 and t=25) in one
+        # batch, "unsorted" does so for several nodes out of id order:
+        # only each node's last window may come back, ids sorted.
         window = 10.0
-        stream = FleetStream(1, window)
-        san = StreamSanitizer()
-        agg = OnlineAggregator(window, policy="repair")
-        ids = np.zeros(6, dtype=np.int64)
-        rows = np.tile(np.arange(15, dtype=float), (6, 1))
-        rows[:, 0] = [1.0, 4.0, 4.0, 8.0, 12.0, 13.0]
-        got = stream.ingest(ids, rows.copy())
-        want = None
-        for raw in rows:
-            d = san.process(raw.copy())
-            w = agg.add(d.row)
-            if w is not None:
-                want = w
-        assert want is not None and 0 in got
-        assert got[0].tobytes() == want.tobytes()
+        inputs = {
+            "duplicates": ([0] * 6, [1.0, 4.0, 4.0, 8.0, 12.0, 13.0], 1, [0]),
+            "two_windows": ([0] * 3, [1.0, 12.0, 25.0], 2, [0]),
+            "unsorted": (
+                [3, 1, 3, 0, 1, 3, 2, 1],
+                [1.0, 2.0, 12.0, 5.0, 11.0, 25.0, 3.0, 14.0],
+                3,
+                [1, 3],
+            ),
+        }
+        for name, (ids, times, n_completed, want_ids) in inputs.items():
+            ids = np.asarray(ids, dtype=np.int64)
+            n = int(ids.max()) + 1
+            stream = FleetStream(n, window)
+            sans, aggs = self._scalar_pipeline(n, window)
+            rows = np.tile(np.arange(15, dtype=float), (ids.size, 1))
+            rows[:, 0] = times
+            done, wins = stream.ingest(ids, rows.copy())
+            want, completed = {}, 0
+            for i, raw in zip(ids.tolist(), rows):
+                d = sans[i].process(raw.copy())
+                w = aggs[i].add(d.row)
+                if w is not None:
+                    want[i] = w
+                    completed += 1
+            assert completed == n_completed, name
+            assert done.tolist() == sorted(want) == want_ids, name
+            assert wins.shape == (len(want_ids), 30), name
+            for i, w in zip(done.tolist(), wins):
+                assert w.tobytes() == want[i].tobytes(), name
 
     def test_clock_reset_rebase_matches_scalar(self):
         window = 50.0
@@ -361,11 +460,10 @@ class TestFleetStream:
         san = StreamSanitizer()
         agg = OnlineAggregator(window, policy="repair")
         times = list(np.arange(1.0, 40.0, 1.0)) + [2.0, 3.0, 4.0]
-        got = {}
         for t in times:
             row = np.full(15, 5.0)
             row[0] = t
-            got.update(stream.ingest(np.zeros(1, dtype=np.int64), row[None, :].copy()))
+            stream.ingest(np.zeros(1, dtype=np.int64), row[None, :].copy())
             d = san.process(row.copy())
             if d.row is not None:
                 agg.add(d.row)
@@ -382,8 +480,8 @@ class TestFleetStream:
 
     def test_misshaped_rows_dropped(self):
         stream = FleetStream(1, 10.0)
-        out = stream.ingest(np.zeros(1, dtype=np.int64), [np.zeros(7)])
-        assert out == {}
+        done, wins = stream.ingest(np.zeros(1, dtype=np.int64), [np.zeros(7)])
+        assert done.size == 0 and wins.shape == (0, 30)
         assert stream.dropped_total == 1
 
     def test_window_buffer_growth(self):
@@ -397,12 +495,15 @@ class TestFleetStream:
         for t in list(np.arange(1.0, 150.0)) + [1001.0]:
             row = np.full(15, 2.0)
             row[0] = t
-            got = stream.ingest(np.zeros(1, dtype=np.int64), row[None, :].copy())
+            done, wins = stream.ingest(
+                np.zeros(1, dtype=np.int64), row[None, :].copy()
+            )
             d = san.process(row.copy())
             w = agg.add(d.row)
             if w is not None:
                 want = w
-        assert want is not None and got[0].tobytes() == want.tobytes()
+        assert want is not None and done.tolist() == [0]
+        assert wins[0].tobytes() == want.tobytes()
 
 
 class TestValidation:
