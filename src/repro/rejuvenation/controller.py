@@ -26,31 +26,13 @@ from repro.system.failure import FailureCondition, SystemView
 from repro.system.monitor import FeatureMonitorClient
 from repro.system.resources import MachineState
 from repro.system.server import AppServer
-from repro.system.simulator import CampaignConfig, resolve_failure
+from repro.system.simulator import (
+    INJECTOR_SWITCHES,
+    CampaignConfig,
+    resolve_failure,
+)
 from repro.system.tpcw import EmulatedBrowserPool
 from repro.utils.rng import as_rng
-
-
-#: CampaignConfig switches no controller honours yet: controlled nodes
-#: are stepped without the anomaly injectors, so a config that enables
-#: one is rejected instead of silently running as the baseline leak.
-_UNSUPPORTED_SWITCHES = (
-    "use_time_injectors",
-    "use_lock_injector",
-    "use_fd_injector",
-    "use_conn_injector",
-    "use_frag_injector",
-)
-
-
-def check_campaign(campaign: CampaignConfig, consumer: str) -> None:
-    """Reject the campaign switches ``consumer`` cannot honour."""
-    for name in _UNSUPPORTED_SWITCHES:
-        if getattr(campaign, name):
-            raise ValueError(
-                f"{consumer} does not support CampaignConfig.{name}: "
-                "controlled nodes run without anomaly injectors"
-            )
 
 
 @dataclass(frozen=True)
@@ -138,7 +120,14 @@ class ManagedSystem:
         fault_profile=None,
         sanitize_config=None,
     ) -> None:
-        check_campaign(campaign, "ManagedSystem")
+        # Its nodes step without the anomaly injectors, so a config that
+        # enables one is rejected instead of running as the baseline leak.
+        for name in INJECTOR_SWITCHES:
+            if getattr(campaign, name):
+                raise ValueError(
+                    f"ManagedSystem does not support CampaignConfig.{name}: "
+                    "its nodes run without anomaly injectors"
+                )
         self.campaign = campaign
         self.managed = managed
         self.policy = policy

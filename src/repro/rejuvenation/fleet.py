@@ -44,7 +44,6 @@ from repro.rejuvenation.controller import (
     Episode,
     ManagedRunLog,
     ManagedSystemConfig,
-    check_campaign,
 )
 from repro.rejuvenation.policy import (
     NoRejuvenation,
@@ -52,18 +51,23 @@ from repro.rejuvenation.policy import (
     PredictiveRejuvenation,
     RejuvenationPolicy,
 )
-from repro.system.anomalies import AnomalyProfile
-from repro.system.failure import FailureCondition, SystemView
-from repro.system.monitor import FeatureMonitorClient
-from repro.system.resources import MachineState
-from repro.system.server import AppServer
-from repro.system.simulator import CampaignConfig, resolve_failure
-from repro.system.tpcw import EmulatedBrowserPool
+from repro.system.failure import FailureCondition
+from repro.system.fused import fused_episode
+from repro.system.simulator import (
+    CampaignConfig,
+    injectors_on,
+    loop_episode,
+    resolve_failure,
+)
 from repro.utils.rng import as_rng
 
 _log = get_logger("rejuvenation.fleet")
 
 _N_RAW = len(FEATURES)
+
+
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_IDS.flags.writeable = False
 
 
 def _no_windows() -> tuple[np.ndarray, np.ndarray]:
@@ -277,26 +281,23 @@ class FleetSource(ABC):
         """
 
 
-class _SimNode:
-    """Per-node simulation state for :class:`SimulatedFleetSource`."""
-
-    __slots__ = ("state", "server", "fmc", "corruptor", "ewma_rt")
-
-    def __init__(self, state, server, fmc, corruptor) -> None:
-        self.state = state
-        self.server = server
-        self.fmc = fmc
-        self.corruptor = corruptor
-        self.ewma_rt = 0.0
-
-
 class SimulatedFleetSource(FleetSource):
     """N full testbed simulations — machine, TPC-W pool, app server, FMC.
+
+    Each node runs the same resumable episode as a campaign run
+    (:func:`repro.system.fused.fused_episode`, or
+    :func:`repro.system.simulator.loop_episode` when the config asks for
+    the loop substrate or the failure condition has no threshold form),
+    with its load schedule offset by the wall time the node booted at.
+    ``step`` resumes only the nodes with an event on the tick: an
+    episode runs ahead to its next monitor sample or crash, which is
+    exact because a node's trajectory depends on its own streams only.
 
     Each node boots exactly like a ``ManagedSystem`` episode (same RNG
     spawn order, including the conditional corruptor spawn), so a fleet
     of one driven by ``as_rng(seed).spawn(1)[0]`` consumes the identical
-    seed sequence as ``ManagedSystem.run(seed)``.
+    seed sequence as ``ManagedSystem.run(seed)``. The anomaly-injector
+    stream is spawned after those, and only when an injector is on.
     """
 
     def __init__(
@@ -305,80 +306,108 @@ class SimulatedFleetSource(FleetSource):
         failure_condition: "FailureCondition | None" = None,
         fault_profile=None,
     ) -> None:
-        check_campaign(campaign, "SimulatedFleetSource")
         self.campaign = campaign
         self.failure_condition = resolve_failure(campaign, failure_condition)
         self.fault_profile = fault_profile
         self.dt = campaign.dt
+        # The same dispatch as TestbedSimulator.run_once.
+        self._limits = (
+            self.failure_condition.fused_limits(campaign.machine)
+            if campaign.substrate == "fused"
+            else None
+        )
+        self._fallback = campaign.substrate == "fused" and self._limits is None
 
     def bind(self, rngs: list, horizon: float) -> None:
         self._rngs = rngs
         self._horizon = horizon
-        self.n_nodes = len(rngs)
-        self._nodes: list[_SimNode | None] = [None] * self.n_nodes
+        self.n_nodes = n = len(rngs)
+        #: Streams spawned at boot; the episode starts on the node's
+        #: first step, when its boot wall time is known.
+        self._streams: list = [None] * n
+        self._fresh = np.zeros(n, dtype=bool)
+        self._corruptors: list = [None] * n
+        self._episodes: list = [None] * n
+        #: Each running episode's next event, and its episode-local time.
+        self._events: list = [None] * n
+        self._pending = np.full(n, np.inf)
 
     def boot(self, node: int) -> None:
         cfg = self.campaign
         rng = self._rngs[node]
-        r_profile, r_pool, r_server, r_monitor = rng.spawn(4)
+        streams = rng.spawn(4)
         # Corruptor RNG spawned only when a fault profile is installed —
         # the same conditional spawn ManagedSystem performs, so clean
         # fleets consume the identical seed sequence.
-        corruptor = (
+        self._corruptors[node] = (
             self.fault_profile.stream(rng.spawn(1)[0], horizon=self._horizon)
             if self.fault_profile is not None
             else None
         )
-        profile = AnomalyProfile.draw(
-            r_profile,
-            p_leak_range=cfg.p_leak_range,
-            leak_kb_range=cfg.leak_kb_range,
-            p_thread_range=cfg.p_thread_range,
-        )
-        state = MachineState(cfg.machine)
-        pool = EmulatedBrowserPool(
-            cfg.n_browsers,
-            cfg.mix,
-            seed=r_pool,
-            use_sessions=cfg.use_session_chain,
-        )
-        server = AppServer(cfg.server, state, pool, profile, seed=r_server)
-        fmc = FeatureMonitorClient(cfg.monitor, seed=r_monitor)
-        fmc.reset(0.0)
-        self._nodes[node] = _SimNode(state, server, fmc, corruptor)
+        r_inject = rng.spawn(1)[0] if injectors_on(cfg) else None
+        self._streams[node] = (*streams, r_inject)
+        self._fresh[node] = True
+        # Dropping an unfinished episode emits nothing.
+        self._episodes[node] = None
+
+    def _start(self, node: int, t0: float) -> None:
+        cfg = self.campaign
+        streams = self._streams[node]
+        if self._limits is not None:
+            episode = fused_episode(cfg, self._limits, streams, t0=t0)
+        else:
+            if self._fallback:
+                get_metrics().inc("sim.fused_fallback_total")
+            episode = loop_episode(cfg, self.failure_condition, streams, t0=t0)
+        self._episodes[node] = episode
+        self._fresh[node] = False
+        self._advance(node)
+
+    def _advance(self, node: int) -> None:
+        # Episodes run without max_run: only a crash ends one.
+        event = next(self._episodes[node])
+        self._events[node] = event
+        self._pending[node] = event[0]
 
     def step(self, ids, walls, nows):
-        cfg = self.campaign
+        for i in ids[self._fresh[ids]].tolist():
+            self._start(i, float(walls[i]))
+        t_end = nows[ids] + self.dt
+        pending = self._pending[ids]
+        hit = np.flatnonzero(pending <= t_end)
+        crashed = np.zeros(ids.size, dtype=bool)
+        if hit.size == 0:
+            return _NO_IDS, _NO_IDS, [], crashed
+        if (pending[hit] != t_end[hit]).any():
+            raise RuntimeError(
+                "SimulatedFleetSource: a node's clock passed its pending "
+                "event; every running node must be stepped on every tick"
+            )
         due_ids: list[int] = []
         sample_ids: list[int] = []
-        rows: list[np.ndarray] = []
-        crashed = np.zeros(ids.size, dtype=bool)
-        for k, i in enumerate(ids):
-            nd = self._nodes[i]
-            now = nows[i]
-            fraction = cfg.load_schedule.active_fraction(walls[i] + now)
-            stats = nd.server.tick(now, cfg.dt, fraction)
-            now += cfg.dt
-            if stats.n_completed > 0:
-                nd.ewma_rt += 0.2 * (stats.mean_response_time - nd.ewma_rt)
-            if nd.fmc.due(now):
-                due_ids.append(int(i))
-                queue_delay = nd.server.backlog_cpu_s / cfg.machine.n_cpus
-                dp = nd.fmc.sample(now, nd.state, stats.utilization, queue_delay)
-                raw_rows = (
-                    nd.corruptor.feed(dp.to_array())
-                    if nd.corruptor is not None
-                    else [dp.to_array()]
-                )
-                for raw in raw_rows:
-                    sample_ids.append(int(i))
-                    rows.append(raw)
-            view = SystemView(
-                state=nd.state,
-                mean_response_time=nd.ewma_rt,
-                last_generation_interval=nd.fmc.last_interval,
-            )
-            crashed[k] = self.failure_condition.is_failed(view)
+        rows: list = []
+        for k, i in zip(hit.tolist(), ids[hit].tolist()):
+            _, row, _, failed = self._events[i]
+            if row is not None:
+                due_ids.append(i)
+                corruptor = self._corruptors[i]
+                if corruptor is None:
+                    sample_ids.append(i)
+                    rows.append(row)
+                else:
+                    for raw in corruptor.feed(np.asarray(row, dtype=np.float64)):
+                        sample_ids.append(i)
+                        rows.append(raw)
+            if failed:
+                crashed[k] = True
+                self._episodes[i] = None
+                self._pending[i] = np.inf
+            else:
+                self._advance(i)
+        if due_ids:
+            get_metrics().inc("monitor.samples_total", len(due_ids))
+        if self.fault_profile is None and rows:
+            rows = np.array(rows, dtype=np.float64)
         return (
             np.asarray(due_ids, dtype=np.int64),
             np.asarray(sample_ids, dtype=np.int64),

@@ -15,10 +15,11 @@ discrete-time simulation with the same observable surface:
 - :mod:`~repro.system.monitor` — FMC/FMS with load-dependent sampling
   jitter (the source of the Fig. 3 inter-generation-time signal);
 - :mod:`~repro.system.simulator` — run-until-crash campaigns producing
-  :class:`~repro.core.history.DataHistory`;
+  :class:`~repro.core.history.DataHistory`, and the per-tick node
+  episode they drive (:func:`~repro.system.simulator.loop_episode`);
 - :mod:`~repro.system.fused` — the event-fused execution substrate, a
-  bit-identical fast path for the campaign hot loop (see
-  ``docs/PERFORMANCE.md``).
+  bit-identical fast path for the same episode
+  (:func:`~repro.system.fused.fused_episode`; see ``docs/PERFORMANCE.md``).
 """
 
 from repro.system.resources import MACHINE_PROFILES, MachineConfig, MachineState

@@ -124,7 +124,33 @@ class FeatureMonitorClient:
         utilization: float,
         queue_delay: float = 0.0,
     ) -> Datapoint:
-        """Read the features and schedule the next sample."""
+        """:meth:`read`, counted in ``monitor.samples_total``."""
+        dp = self.read(now, state, utilization, queue_delay)
+        get_metrics().inc("monitor.samples_total")
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug(
+                "fmc sample %s",
+                kv(
+                    t=now,
+                    interval=self.last_interval,
+                    utilization=utilization,
+                    swap_used_kb=state.swap_used_kb,
+                ),
+            )
+        return dp
+
+    def read(
+        self,
+        now: float,
+        state: MachineState,
+        utilization: float,
+        queue_delay: float = 0.0,
+    ) -> Datapoint:
+        """Read the features and schedule the next sample.
+
+        Emits nothing: the simulation episodes call this and leave the
+        counting to their callers.
+        """
         dp = Datapoint(
             tgen=now,
             n_threads=float(state.n_threads),
@@ -145,17 +171,6 @@ class FeatureMonitorClient:
         step = self.interval(utilization, state.swap_pressure, queue_delay)
         self.last_interval = step
         self.next_sample_time = now + step
-        get_metrics().inc("monitor.samples_total")
-        if _log.isEnabledFor(logging.DEBUG):
-            _log.debug(
-                "fmc sample %s",
-                kv(
-                    t=now,
-                    interval=step,
-                    utilization=utilization,
-                    swap_used_kb=state.swap_used_kb,
-                ),
-            )
         return dp
 
 

@@ -13,6 +13,11 @@ simulates in seconds. The loop advances in fixed ticks:
     tick -> server.tick()        (arrivals, anomalies, degradation, CPU)
          -> FMC sample if due    (load-stretched interval)
          -> failure check        (fail event -> RunRecord, restart)
+
+Each substrate simulates a run as a resumable node *episode*
+(:func:`loop_episode` here, :func:`repro.system.fused.fused_episode` on the
+fused engine). :meth:`TestbedSimulator.run_once` runs one to its end; the
+fleet's ``SimulatedFleetSource`` resumes one per node.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from repro.system.failure import (
     SystemView,
     parse_failure,
 )
-from repro.system.monitor import FeatureMonitorClient, FeatureMonitorServer, MonitorConfig
+from repro.system.monitor import FeatureMonitorClient, MonitorConfig
 from repro.system.resources import MachineConfig, MachineState
 from repro.system.schedule import ConstantLoad, LoadSchedule
 from repro.system.server import AppServer, ServerConfig
@@ -178,6 +183,248 @@ def resolve_failure(
     return MemoryExhaustion()
 
 
+# -- the node episode -------------------------------------------------------------
+#
+# A run is one *episode*: a node booted from its component streams and
+# stepped tick by tick until its failure condition fires. An episode is a
+# generator that yields one event per tick on which the monitor sampled or
+# the failure condition fired:
+#
+#     (now, row | None, ewma_rt, crashed)
+#
+# ``now`` is episode-local time at the tick's end, ``row`` the 15 raw
+# features of the sample taken on that tick and ``ewma_rt`` the mean
+# response time the failure condition sees. The episode ends after its
+# crash event, or when ``now`` reaches ``max_run``, and then returns
+# ``(totals, blocks)``: the run's profile draws and request totals, and the
+# fused engine's block statistics (None on the loop). The load schedule is
+# read at ``t0 + now``, so a controller can resume a node that booted at
+# wall time ``t0``; with ``t0 = 0.0`` the sum is ``now`` exactly.
+#
+# An episode opens no span and emits no metric: telemetry belongs to its
+# caller. A node's trajectory depends only on its streams, so a caller may
+# run an episode ahead to its next event and drop it unfinished.
+
+#: The anomaly-injector switches of :class:`CampaignConfig`.
+INJECTOR_SWITCHES = (
+    "use_time_injectors",
+    "use_lock_injector",
+    "use_fd_injector",
+    "use_conn_injector",
+    "use_frag_injector",
+)
+
+
+def injectors_on(config: CampaignConfig) -> bool:
+    """Whether ``config`` enables any anomaly injector."""
+    return any(getattr(config, name) for name in INJECTOR_SWITCHES)
+
+
+def boot_server(config: CampaignConfig, r_profile, r_pool, r_server) -> AppServer:
+    """A freshly booted node: its anomaly profile, machine, browser pool
+    and app server (reachable as ``server.profile``/``.state``/``.pool``)."""
+    profile = AnomalyProfile.draw(
+        r_profile,
+        p_leak_range=config.p_leak_range,
+        leak_kb_range=config.leak_kb_range,
+        p_thread_range=config.p_thread_range,
+    )
+    pool = EmulatedBrowserPool(
+        config.n_browsers,
+        config.mix,
+        seed=r_pool,
+        use_sessions=config.use_session_chain,
+    )
+    return AppServer(
+        config.server, MachineState(config.machine), pool, profile, seed=r_server
+    )
+
+
+def make_injectors(config: CampaignConfig, r_inject) -> tuple:
+    """The run's ``(leak, thread, lock, fd, conn, frag)`` injectors, each
+    None when its switch is off.
+
+    Each family spawns its stream off ``r_inject`` only when enabled, in
+    this fixed order, so toggling one injector never perturbs the
+    streams of the others.
+    """
+    leak = thread = lock = fd = conn = frag = None
+    if config.use_time_injectors:
+        r_leak, r_thread = r_inject.spawn(2)
+        leak = MemoryLeakInjector(
+            mean_interval_range=config.leak_injector_interval_range, seed=r_leak
+        )
+        thread = ThreadLeakInjector(
+            mean_interval_range=config.thread_injector_interval_range,
+            seed=r_thread,
+        )
+    if config.use_lock_injector:
+        (r_lock,) = r_inject.spawn(1)
+        lock = LockContentionInjector(
+            mean_interval_range=config.lock_injector_interval_range, seed=r_lock
+        )
+    if config.use_fd_injector:
+        (r_fd,) = r_inject.spawn(1)
+        fd = FdLeakInjector(
+            count_range=config.fd_injector_count_range,
+            mean_interval_range=config.fd_injector_interval_range,
+            seed=r_fd,
+        )
+    if config.use_conn_injector:
+        (r_conn,) = r_inject.spawn(1)
+        conn = ConnectionPoolInjector(
+            mean_interval_range=config.conn_injector_interval_range, seed=r_conn
+        )
+    if config.use_frag_injector:
+        (r_frag,) = r_inject.spawn(1)
+        frag = HeapFragmentationInjector(
+            mean_interval_range=config.frag_injector_interval_range, seed=r_frag
+        )
+    return leak, thread, lock, fd, conn, frag
+
+
+def run_totals(profile: AnomalyProfile, leaked_kb, threads, requests) -> dict:
+    """An episode's profile draws and request totals, in RunRecord order."""
+    return {
+        "p_leak": profile.p_leak,
+        "leak_min_kb": profile.leak_min_kb,
+        "leak_max_kb": profile.leak_max_kb,
+        "p_thread": profile.p_thread,
+        "total_leaked_kb": leaked_kb,
+        "total_threads_spawned": float(threads),
+        "total_requests": float(requests),
+    }
+
+
+def loop_episode(
+    cfg: CampaignConfig,
+    condition: FailureCondition,
+    streams,
+    *,
+    t0: float = 0.0,
+    max_run: float = float("inf"),
+    profiler=None,
+):
+    """The per-tick object-graph episode: the fused engine's oracle.
+
+    ``streams`` is ``(r_profile, r_pool, r_server, r_monitor, r_inject)``;
+    ``r_inject`` is only read when an injector is on. A ``profiler``
+    (:class:`repro.obs.profile.StageProfiler`) times every 64th tick into
+    ``sim.tick``.
+    """
+    r_profile, r_pool, r_server, r_monitor, r_inject = streams
+    server = boot_server(cfg, r_profile, r_pool, r_server)
+    state = server.state
+    fmc = FeatureMonitorClient(cfg.monitor, seed=r_monitor)
+    fmc.reset(0.0)
+    leak, thread, lock, fd, conn, frag = make_injectors(cfg, r_inject)
+    schedule = cfg.load_schedule
+    dt = cfg.dt
+
+    now = 0.0
+    # Exponentially-weighted mean RT: the "mean client response time"
+    # a failure condition may inspect.
+    ewma_rt = 0.0
+    tick_index = 0
+    while now < max_run:
+        fraction = schedule.active_fraction(t0 + now)
+        if profiler is not None and not tick_index & 63:
+            t_start = time.perf_counter()
+            stats = server.tick(now, dt, fraction)
+            profiler.record("sim.tick", time.perf_counter() - t_start)
+        else:
+            stats = server.tick(now, dt, fraction)
+        tick_index += 1
+        now += dt
+        if stats.n_completed > 0:
+            ewma_rt += 0.2 * (stats.mean_response_time - ewma_rt)
+        if leak is not None:
+            leak.advance(state, now)
+            thread.advance(state, now)
+            state.update_swap()
+        if lock is not None:
+            lock.advance(server, now)
+        # fd/conn/frag families degrade service time without touching
+        # memory, so no update_swap() is needed after them.
+        if fd is not None:
+            fd.advance(state, now)
+        if conn is not None:
+            conn.advance(server, now)
+        if frag is not None:
+            frag.advance(server, now)
+
+        row = None
+        if fmc.due(now):
+            queue_delay = server.backlog_cpu_s / cfg.machine.n_cpus
+            row = fmc.read(now, state, stats.utilization, queue_delay).to_array()
+        view = SystemView(
+            state=state,
+            mean_response_time=ewma_rt,
+            last_generation_interval=fmc.last_interval,
+        )
+        if condition.is_failed(view):
+            yield now, row, ewma_rt, True
+            break
+        if row is not None:
+            yield now, row, ewma_rt, False
+    totals = run_totals(
+        server.profile,
+        server.total_leaked_kb,
+        server.total_threads_spawned,
+        server.total_completed,
+    )
+    return totals, None
+
+
+def record_episode(episode, max_run: float) -> tuple:
+    """Drive ``episode`` to its end and package it as a :class:`RunRecord`,
+    counting the run's ``sim.*`` and ``monitor.*`` metrics.
+
+    Returns the record and the episode's block statistics (None on the
+    loop). A run that never fails is truncated at ``max_run``.
+    """
+    rows: list = []
+    response_times: list[float] = []
+    crashed = False
+    fail_time = max_run
+    while True:
+        try:
+            now, row, ewma_rt, failed = next(episode)
+        except StopIteration as end:
+            totals, blocks = end.value
+            break
+        if row is not None:
+            rows.append(row)
+            response_times.append(ewma_rt)
+        if failed:
+            crashed = True
+            fail_time = now
+    if not rows:
+        raise RuntimeError(
+            "run produced no datapoints before failing; "
+            "lower anomaly rates or the monitor interval"
+        )
+    features = np.array(rows, dtype=np.float64)
+    n = features.shape[0]
+    metrics = get_metrics()
+    metrics.inc("sim.runs_total")
+    metrics.inc("sim.datapoints_total", n)
+    if crashed:
+        metrics.inc("sim.fail_events_total")
+    else:
+        metrics.inc("sim.truncated_runs_total")
+    metrics.observe("sim.run_seconds", fail_time)
+    metrics.inc("monitor.samples_total", n)
+    metrics.inc("monitor.datapoints_total", n)
+    record = RunRecord(
+        features=features,
+        fail_time=fail_time,
+        response_times=np.asarray(response_times),
+        metadata={"crashed": float(crashed), **totals},
+    )
+    return record, blocks
+
+
 class TestbedSimulator:
     """Simulates monitoring campaigns, producing a :class:`DataHistory`."""
 
@@ -220,166 +467,21 @@ class TestbedSimulator:
         return self._run_once_loop(rng)
 
     def _run_once_loop(self, rng: np.random.Generator) -> RunRecord:
-        """The legacy per-tick loop — the fused engine's oracle."""
-        cfg = self.config
-        # Independent streams per component (paper: uncorrelated draws).
-        r_profile, r_pool, r_server, r_monitor, r_inject = rng.spawn(5)
-
-        profile = AnomalyProfile.draw(
-            r_profile,
-            p_leak_range=cfg.p_leak_range,
-            leak_kb_range=cfg.leak_kb_range,
-            p_thread_range=cfg.p_thread_range,
-        )
-        state = MachineState(cfg.machine)
-        pool = EmulatedBrowserPool(
-            cfg.n_browsers,
-            cfg.mix,
-            seed=r_pool,
-            use_sessions=cfg.use_session_chain,
-        )
-        server = AppServer(cfg.server, state, pool, profile, seed=r_server)
-        fmc = FeatureMonitorClient(cfg.monitor, seed=r_monitor)
-        fms = FeatureMonitorServer()
-        fmc.reset(0.0)
-
-        injectors: list = []
-        if cfg.use_time_injectors:
-            r_leak, r_thread = r_inject.spawn(2)
-            injectors = [
-                MemoryLeakInjector(
-                    mean_interval_range=cfg.leak_injector_interval_range, seed=r_leak
-                ),
-                ThreadLeakInjector(
-                    mean_interval_range=cfg.thread_injector_interval_range,
-                    seed=r_thread,
-                ),
-            ]
-        lock_injector = None
-        if cfg.use_lock_injector:
-            # spawned after the memory injectors so enabling locks never
-            # perturbs the other components' streams
-            (r_lock,) = r_inject.spawn(1)
-            lock_injector = LockContentionInjector(
-                mean_interval_range=cfg.lock_injector_interval_range, seed=r_lock
-            )
-        # Each later family spawns its stream only when enabled, in fixed
-        # fd -> conn -> frag order: toggling one injector never perturbs
-        # the streams of the others (same discipline as the lock stream).
-        fd_injector = None
-        if cfg.use_fd_injector:
-            (r_fd,) = r_inject.spawn(1)
-            fd_injector = FdLeakInjector(
-                count_range=cfg.fd_injector_count_range,
-                mean_interval_range=cfg.fd_injector_interval_range,
-                seed=r_fd,
-            )
-        conn_injector = None
-        if cfg.use_conn_injector:
-            (r_conn,) = r_inject.spawn(1)
-            conn_injector = ConnectionPoolInjector(
-                mean_interval_range=cfg.conn_injector_interval_range, seed=r_conn
-            )
-        frag_injector = None
-        if cfg.use_frag_injector:
-            (r_frag,) = r_inject.spawn(1)
-            frag_injector = HeapFragmentationInjector(
-                mean_interval_range=cfg.frag_injector_interval_range, seed=r_frag
-            )
-
-        now = 0.0
-        # Exponentially-weighted mean RT: the "mean client response time"
-        # a failure condition may inspect.
-        ewma_rt = 0.0
-        utilization = 0.0
-        crashed = False
-        fail_time = cfg.max_run_seconds
-
-        # Sampled hot-path profiling: time every 64th tick (two clock
-        # reads per sample, nothing on the other 63), feeding the
-        # log-bucketed ``profile.sim.tick.wall_seconds`` histogram.
+        """Drive the loop episode — the fused engine's oracle — for one run."""
         from repro.obs.profile import get_profiler
 
+        cfg = self.config
         profiler = get_profiler()
-        prof_on = profiler.enabled
-        tick_index = 0
-
-        while now < cfg.max_run_seconds:
-            if prof_on and not tick_index & 63:
-                t0 = time.perf_counter()
-                stats = server.tick(
-                    now, cfg.dt, cfg.load_schedule.active_fraction(now)
-                )
-                profiler.record("sim.tick", time.perf_counter() - t0)
-            else:
-                stats = server.tick(
-                    now, cfg.dt, cfg.load_schedule.active_fraction(now)
-                )
-            tick_index += 1
-            now += cfg.dt
-            utilization = stats.utilization
-            if stats.n_completed > 0:
-                alpha = 0.2
-                ewma_rt += alpha * (stats.mean_response_time - ewma_rt)
-            for injector in injectors:
-                injector.advance(state, now)
-            if injectors:
-                state.update_swap()
-            if lock_injector is not None:
-                lock_injector.advance(server, now)
-            # fd/conn/frag families degrade service time without touching
-            # memory, so no update_swap() is needed after them.
-            if fd_injector is not None:
-                fd_injector.advance(state, now)
-            if conn_injector is not None:
-                conn_injector.advance(server, now)
-            if frag_injector is not None:
-                frag_injector.advance(server, now)
-
-            if fmc.due(now):
-                queue_delay = server.backlog_cpu_s / cfg.machine.n_cpus
-                dp = fmc.sample(now, state, utilization, queue_delay)
-                fms.receive(dp, ewma_rt)
-
-            view = SystemView(
-                state=state,
-                mean_response_time=ewma_rt,
-                last_generation_interval=fmc.last_interval,
-            )
-            if self.failure_condition.is_failed(view):
-                crashed = True
-                fail_time = now
-                break
-
-        features, response_times = fms.as_arrays()
-        if features.shape[0] == 0:
-            raise RuntimeError(
-                "run produced no datapoints before failing; "
-                "lower anomaly rates or the monitor interval"
-            )
-        metrics = get_metrics()
-        metrics.inc("sim.runs_total")
-        metrics.inc("sim.datapoints_total", features.shape[0])
-        if crashed:
-            metrics.inc("sim.fail_events_total")
-        else:
-            metrics.inc("sim.truncated_runs_total")
-        metrics.observe("sim.run_seconds", fail_time)
-        return RunRecord(
-            features=features,
-            fail_time=fail_time,
-            response_times=response_times,
-            metadata={
-                "crashed": float(crashed),
-                "p_leak": profile.p_leak,
-                "leak_min_kb": profile.leak_min_kb,
-                "leak_max_kb": profile.leak_max_kb,
-                "p_thread": profile.p_thread,
-                "total_leaked_kb": server.total_leaked_kb,
-                "total_threads_spawned": float(server.total_threads_spawned),
-                "total_requests": float(server.total_completed),
-            },
+        # Independent streams per component (paper: uncorrelated draws).
+        episode = loop_episode(
+            cfg,
+            self.failure_condition,
+            rng.spawn(5),
+            max_run=cfg.max_run_seconds,
+            profiler=profiler if profiler.enabled else None,
         )
+        record, _ = record_episode(episode, cfg.max_run_seconds)
+        return record
 
     def run_many(
         self, rngs: "list[np.random.Generator]", *, jobs: int = 1, start_index: int = 0

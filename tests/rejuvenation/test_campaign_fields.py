@@ -3,7 +3,9 @@
 ``ManagedSystem`` and the fleet's ``SimulatedFleetSource`` build testbed
 nodes from a ``CampaignConfig``. A switch they cannot honour must raise a
 one-line ``ValueError`` naming the field; it must never run silently as
-the baseline memory leak.
+the baseline memory leak. The fleet steps the simulator's own node
+episode, so it honours the anomaly injectors too; ``ManagedSystem`` keeps
+its own loop and rejects them.
 """
 
 import dataclasses
@@ -25,16 +27,23 @@ from tests.conftest import small_campaign
 MANAGED = ManagedSystemConfig(horizon_seconds=1500.0, window_seconds=20.0)
 SEED = 4
 
-#: Honoured switches and the value each test sets.
+#: Switches every consumer honours, and the value each test sets.
 HONOURED = {"failure": "rt>1", "use_session_chain": True}
-#: Anomaly injectors: no controller steps them yet.
-REJECTED = (
+#: The anomaly injectors: only the fleet steps them.
+INJECTORS = (
     "use_time_injectors",
     "use_lock_injector",
     "use_fd_injector",
     "use_conn_injector",
     "use_frag_injector",
 )
+#: Per consumer: the switches it honours (with the value each test sets)
+#: and the switches it rejects.
+HONOURED_BY = {
+    "ManagedSystem": HONOURED,
+    "SimulatedFleetSource": {**HONOURED, **dict.fromkeys(INJECTORS, True)},
+}
+REJECTED = {"ManagedSystem": INJECTORS, "SimulatedFleetSource": ()}
 
 
 def episodes(log):
@@ -64,17 +73,29 @@ def test_every_switch_is_honoured_or_rejected():
     switches = {
         f.name for f in dataclasses.fields(CampaignConfig) if f.name.startswith("use_")
     }
-    assert switches | {"failure"} == set(HONOURED) | set(REJECTED)
+    for consumer in CONSUMERS:
+        honoured, rejected = set(HONOURED_BY[consumer]), set(REJECTED[consumer])
+        assert switches | {"failure"} == honoured | rejected, consumer
+        assert not honoured & rejected, consumer
 
 
-@pytest.mark.parametrize("field", REJECTED)
-@pytest.mark.parametrize("consumer", sorted(CONSUMERS))
+@pytest.mark.parametrize("field", INJECTORS)
+@pytest.mark.parametrize(
+    "consumer", [name for name in sorted(CONSUMERS) if REJECTED[name]]
+)
 def test_unsupported_switch_is_rejected(consumer, field):
     campaign = dataclasses.replace(small_campaign(), **{field: True})
     with pytest.raises(ValueError, match=f"CampaignConfig.{field}") as err:
         CONSUMERS[consumer](campaign)
     assert consumer in str(err.value)
+    assert "SimulatedFleetSource" not in str(err.value)
     assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("field", INJECTORS)
+def test_fleet_honours_injector(field):
+    campaign = dataclasses.replace(small_campaign(), **{field: True})
+    assert run_fleet(campaign) != run_fleet(small_campaign())
 
 
 @pytest.mark.parametrize("consumer", sorted(CONSUMERS))

@@ -13,6 +13,8 @@ On top: the capacity floor, drain, telemetry and the FleetStream SoA
 sanitize+aggregate plane.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,10 +22,11 @@ from repro import obs
 from repro.core.aggregation import OnlineAggregator
 from repro.core.sanitize import StreamSanitizer
 from repro.faults import FaultProfile
-from repro.obs import get_telemetry
+from repro.obs import get_metrics, get_telemetry, get_tracer
 from repro.rejuvenation import (
     FleetConfig,
     FleetController,
+    FleetSource,
     FleetStream,
     ManagedSystem,
     ManagedSystemConfig,
@@ -35,6 +38,8 @@ from repro.rejuvenation import (
     SyntheticFleetSpec,
     summarize_fleet,
 )
+from repro.system import DiurnalLoad, StepLoad
+from repro.system.failure import FailureCondition
 from repro.utils.rng import as_rng
 from tests.conftest import small_campaign
 
@@ -61,21 +66,64 @@ def predictive():
     return PredictiveRejuvenation(SPEC.linear_model(), rttf_margin=150.0)
 
 
+class HalfSwapExhaustion(FailureCondition):
+    """Overflow past half the swap: a predicate with no threshold form, so
+    the fleet node runs the loop episode."""
+
+    def is_failed(self, view):
+        return view.state.overflow_kb > 0.5 * view.state.config.swap_kb
+
+
+#: Fast leaks: a node crashes within one 400 s restart interval at full
+#: load and outlives it at 30% load, so episode outcomes follow the load.
+FAST_LEAK = dict(leak_kb_range=(4096.0, 8192.0))
+STEP_LOAD = StepLoad(breakpoints=(700.0, 2100.0), fractions=(1.0, 0.3, 0.8))
+
+#: Fleet-of-one inputs beyond the default campaign: (campaign overrides,
+#: failure condition). Under periodic restarts later episodes boot at a
+#: wall time above zero, which pins the load-schedule offset.
+ONE_NODE_INPUTS = {
+    "step-load": ({**FAST_LEAK, "load_schedule": STEP_LOAD}, None),
+    "diurnal-load": (
+        {**FAST_LEAK, "load_schedule": DiurnalLoad(period=900.0)},
+        None,
+    ),
+    "custom-failure": ({}, HalfSwapExhaustion()),
+    "loop-substrate": (
+        {**FAST_LEAK, "load_schedule": STEP_LOAD, "substrate": "loop"},
+        None,
+    ),
+}
+
+
+def one_node_cases():
+    cases = [
+        pytest.param(seed, engine, None, id=f"{seed}-{engine}")
+        for seed in (1, 7)
+        for engine in ("batched", "scalar")
+    ]
+    cases += [pytest.param(3, "batched", name, id=name) for name in ONE_NODE_INPUTS]
+    return cases
+
+
 class TestFleetOfOne:
     """Fleet-of-1 ≡ ManagedSystem, the anchor to the single-node loop."""
 
-    @pytest.mark.parametrize("engine", ["scalar", "batched"])
-    @pytest.mark.parametrize("seed", [1, 7])
-    def test_matches_managed_system(self, engine, seed):
+    @pytest.mark.parametrize("seed, engine, inputs", one_node_cases())
+    def test_matches_managed_system(self, seed, engine, inputs):
         campaign = small_campaign(n_runs=2)
+        condition = None
+        if inputs is not None:
+            overrides, condition = ONE_NODE_INPUTS[inputs]
+            campaign = dataclasses.replace(campaign, **overrides)
         mcfg = managed_config(horizon_seconds=4000.0)
         # The fleet spawns one child stream off the root seed; hand the
         # same child to ManagedSystem so both runs draw identical bits.
-        ms = ManagedSystem(campaign, mcfg, PeriodicRejuvenation(400.0)).run(
-            seed=as_rng(seed).spawn(1)[0]
-        )
+        ms = ManagedSystem(
+            campaign, mcfg, PeriodicRejuvenation(400.0), failure_condition=condition
+        ).run(seed=as_rng(seed).spawn(1)[0])
         fl = FleetController(
-            SimulatedFleetSource(campaign),
+            SimulatedFleetSource(campaign, failure_condition=condition),
             mcfg,
             PeriodicRejuvenation(400.0),
             FleetConfig(n_nodes=1, engine=engine),
@@ -279,6 +327,39 @@ class TestFleetTelemetry:
         # batching: strictly fewer model calls than rows scored
         assert fl.scored_rows > fl.scoring_calls
 
+    @pytest.mark.parametrize("inputs", ["fused", "fallback", "loop"])
+    def test_simulated_fleet_counter_deltas(self, inputs):
+        """Testbed nodes count their monitor samples, a loop fallback once
+        per episode, and no campaign-run telemetry."""
+        campaign = small_campaign(n_runs=2)
+        condition = HalfSwapExhaustion() if inputs == "fallback" else None
+        if inputs == "loop":
+            campaign = dataclasses.replace(campaign, substrate="loop")
+        source = SampleCounter(
+            SimulatedFleetSource(campaign, failure_condition=condition)
+        )
+        obs.reset()
+        fl = FleetController(
+            source,
+            managed_config(horizon_seconds=2000.0),
+            PeriodicRejuvenation(400.0),
+            FleetConfig(n_nodes=3),
+        ).run(seed=5)
+        snap = get_metrics().snapshot()
+        counters = snap["counters"]
+        assert source.samples > 0
+        assert counters["monitor.samples_total"] == source.samples
+        fallbacks = fl.n_episodes if inputs == "fallback" else 0
+        assert counters.get("sim.fused_fallback_total", 0) == fallbacks
+        assert not [
+            name
+            for name in [*counters, *snap["histograms"]]
+            if name.startswith("sim.") and name != "sim.fused_fallback_total"
+        ]
+        names = [sp.name for root in get_tracer().roots for sp in root.walk()]
+        assert "fleet.run" in names
+        assert not [n for n in names if n.startswith("simulate.run")]
+
     def test_summarize_fleet_row(self):
         fl = FleetController(
             SyntheticFleetSource(SPEC),
@@ -290,6 +371,27 @@ class TestFleetTelemetry:
         assert len(report.row()) == len(report.HEADERS)
         assert report.n_nodes == 3
         assert 0.0 < report.availability <= 1.0
+
+
+class SampleCounter(FleetSource):
+    """Pass-through source counting the monitor samples its steps report."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dt = inner.dt
+        self.samples = 0
+
+    def bind(self, rngs, horizon):
+        self.inner.bind(rngs, horizon)
+        self.n_nodes = self.inner.n_nodes
+
+    def boot(self, node):
+        self.inner.boot(node)
+
+    def step(self, ids, walls, nows):
+        out = self.inner.step(ids, walls, nows)
+        self.samples += out[0].size
+        return out
 
 
 class NodeTaggedSource(SyntheticFleetSource):

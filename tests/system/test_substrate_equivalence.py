@@ -7,17 +7,24 @@ substrates with ``np.array_equal`` (exact), across the configuration
 matrix the engine special-cases: session chains, time/lock injectors,
 non-constant load schedules, non-representable ``dt`` accumulation,
 truncated runs, compiled failure conditions, and multi-process fan-out.
+The stepper battery holds the fleet's node stepping to the same standard:
+a fleet node stepped tick by tick is the campaign run, row for row.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.obs import get_metrics, get_tracer
+from repro.rejuvenation import SimulatedFleetSource
+from repro.scenarios import SCENARIOS, resolve_scenario
 from repro.store.keys import fingerprint
 from repro.system import (
     AnyOf,
@@ -166,6 +173,99 @@ class TestBitIdentityMatrix:
         assert loop.metadata["crashed"] == 0.0
         assert fused.metadata["crashed"] == 0.0
         assert fused.fail_time == config.max_run_seconds
+
+
+#: Every bit-identity case plus every scenario preset, for the stepper.
+STEPPER_CASES = {
+    **MATRIX,
+    **{
+        f"scenario-{name}": (resolve_scenario(name, small_campaign()), None)
+        for name in SCENARIOS
+    },
+}
+
+
+def _counter(name: str) -> float:
+    return get_metrics().snapshot()["counters"].get(name, 0.0)
+
+
+def _bound_node(config, condition, seed):
+    source = SimulatedFleetSource(config, failure_condition=condition)
+    source.bind([np.random.default_rng(seed)], config.max_run_seconds)
+    source.boot(0)
+    return source
+
+
+def _step_node(source, config, until):
+    """Step node 0 from episode time 0 tick by tick, until ``until`` or
+    until it crashes.
+
+    Returns the raw rows it sampled and the end time of the crash tick
+    (None when it did not crash).
+    """
+    ids = np.zeros(1, dtype=np.int64)
+    walls = np.zeros(1)
+    nows = np.zeros(1)
+    rows = []
+    while nows[0] < until:
+        _, _, got, crashed = source.step(ids, walls, nows)
+        rows.extend(got)
+        nows += config.dt
+        if crashed[0]:
+            return rows, nows[0]
+    return rows, None
+
+
+class TestNodeStepper:
+    """A fleet node stepped tick by tick reproduces the campaign run."""
+
+    SEED = 13
+
+    @pytest.mark.parametrize("substrate", ["fused", "loop"])
+    @pytest.mark.parametrize("case", sorted(STEPPER_CASES))
+    def test_stepped_node_matches_run_once(self, case, substrate):
+        config, condition = STEPPER_CASES[case]
+        config = dataclasses.replace(config, substrate=substrate)
+        record = TestbedSimulator(config, condition).run_once(
+            np.random.default_rng(self.SEED)
+        )
+        source = _bound_node(config, condition, self.SEED)
+        rows, crash_end = _step_node(source, config, config.max_run_seconds)
+        assert np.array(rows).tobytes() == record.features.tobytes()
+        if record.metadata["crashed"]:
+            assert crash_end == record.fail_time
+        else:
+            assert crash_end is None
+
+    def test_fd_leak_node_takes_the_loop_episode(self):
+        config, _ = STEPPER_CASES["scenario-fd-leak"]
+        config = dataclasses.replace(config, substrate="fused")
+        before = _counter("sim.fused_fallback_total")
+        source = _bound_node(config, None, self.SEED)
+        _step_node(source, config, 10 * config.dt)
+        assert _counter("sim.fused_fallback_total") == before + 1
+
+    def test_skipping_past_an_event_raises(self):
+        config = _base()
+        source = _bound_node(config, None, self.SEED)
+        ids = np.zeros(1, dtype=np.int64)
+        source.step(ids, np.zeros(1), np.zeros(1))
+        with pytest.raises(RuntimeError, match="passed its pending event"):
+            source.step(ids, np.zeros(1), np.full(1, 100.0))
+
+    @pytest.mark.parametrize("substrate", ["fused", "loop"])
+    def test_abandoned_episode_emits_nothing(self, substrate):
+        config = dataclasses.replace(_base(), substrate=substrate)
+        obs.reset()
+        source = _bound_node(config, None, self.SEED)
+        rows, _ = _step_node(source, config, 100.0)
+        assert rows  # the episode was running
+        source.boot(0)  # re-boot mid-episode: the old one is dropped
+        gc.collect()
+        _step_node(source, config, 50.0)
+        names = [sp.name for root in get_tracer().roots for sp in root.walk()]
+        assert not [n for n in names if n.startswith("simulate.run")]
+        assert _counter("sim.runs_total") == 0
 
 
 class TestRandomConfigs:
