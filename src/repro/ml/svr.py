@@ -15,17 +15,24 @@ with ``z = (+1,...,+1, -1,...,-1)``, ``Q[s,t] = z_s z_t K(s%n, t%n)``,
 ``beta = a[:n] - a[n:]`` and the prediction is
 ``f(x) = sum_i beta_i K(x_i, x) + b``.
 
-The solver uses maximal-violating-pair working-set selection (Keerthi
-WSS1) with the analytic two-variable update, maintaining the gradient
-incrementally — one kernel-matrix column per iteration. Kernel columns
-are computed on demand through a bounded FIFO cache (LIBSVM's kernel
-cache), so memory stays O(cache_columns * n) and training cost scales
-with the feature count; Q columns are materialized on the fly from the
-block structure.
+The working set is chosen as in LIBSVM (WSS2, Fan, Chen & Lin, JMLR
+2005): ``i`` is the maximal KKT violator among the variables that can
+move up, and ``j`` maximizes the second-order objective decrease of the
+pair step among those that can move down. The analytic two-variable
+update is followed by an incremental gradient update with Q's columns
+``i`` and ``j``. Kernel columns are computed on demand through a bounded
+FIFO cache (LIBSVM's kernel cache), so memory stays
+O(cache_columns * n); Q columns are assembled from them using the block
+structure.
 
-Complexity is the reason the paper's Table III shows SVM training two to
-three orders of magnitude slower than the tree learners; the same gap
-reproduces here.
+A fit costs its SMO iteration count times a per-iteration cost that is
+mostly vector work over the active set; kernel columns are seldom
+recomputed. On the benchmark's pinned paper corpus the all-feature fit
+(806 x 30) takes 110,754 iterations and the Lasso-selected fit (806 x 8)
+39,113, at about the same cost per iteration. So the iteration count of
+SMO on the rank-deficient linear-kernel Gram matrix, not the feature
+count, sets both the paper's Table III gap to the other learners and
+the all/selected ratio.
 """
 
 from __future__ import annotations
@@ -49,11 +56,10 @@ _TAU = 1e-12
 class _KernelColumnCache:
     """LIBSVM-style kernel cache: columns of K computed on demand.
 
-    Computing columns lazily (one ``K[:, t] = k(X, x_t)`` per working-set
-    index, FIFO-bounded cache) keeps memory at O(cache * n) instead of
-    O(n^2) and — deliberately — makes the training cost proportional to
-    the feature count, reproducing the paper's Table III observation that
-    Lasso-selected feature sets train the SVM substantially faster.
+    One ``K[:, t] = k(X, x_t)`` per column index, kept in a FIFO-bounded
+    dict, so memory stays O(max_columns * n) instead of O(n^2). An
+    evicted column is recomputed by the same call, so the bound changes
+    how long a fit takes, never its result.
     """
 
     def __init__(self, X: np.ndarray, kernel, max_columns: int = 512) -> None:
@@ -100,16 +106,22 @@ class _SMOSolver:
     #: Re-examine the active set every this many inner iterations.
     SHRINK_PERIOD = 1000
 
-    def _q_column_active(
-        self, t_global: int, active_mod: np.ndarray, z_active: np.ndarray
+    def _epoch_column(
+        self, columns: dict, t: int, act_mod: np.ndarray, za: np.ndarray
     ) -> np.ndarray:
-        """Entries ``Q[active, t]`` without materializing Q.
+        """``za * K[act_mod, t]``: kernel column ``t`` signed for the active set.
 
-        ``Q[s, t] = z_s z_t K[s%n, t%n]``; one cached kernel column serves
-        both blocks.
+        ``Q[s, u] = z_s z_u K[s%n, u%n]``, so for any ``u`` with
+        ``u % n == t`` the active entries of Q's column ``u`` are
+        ``z_u * column`` — an exact sign flip the caller folds into its
+        scalar multipliers. ``columns`` lives for one epoch (the active
+        set is fixed within it) and holds at most ``max_columns``
+        entries, evicted FIFO like the kernel cache.
         """
-        col = self.cache.column(t_global % self.n)
-        return (self.z[t_global] * z_active) * col[active_mod]
+        if len(columns) >= self.cache.max_columns:
+            columns.pop(next(iter(columns)))
+        col = columns[t] = za * self.cache.column(t)[act_mod]
+        return col
 
     def _full_gradient(self, a: np.ndarray) -> np.ndarray:
         """Reconstruct G = Qa + p from scratch (unshrinking step).
@@ -135,12 +147,24 @@ class _SMOSolver:
         converges, the full gradient is reconstructed and the global KKT
         gap checked — shrinking is a heuristic; the final answer always
         satisfies the full-problem stopping rule (or the iteration cap).
+
+        An *epoch* is the run of iterations between two shrink or
+        unshrink steps; the active set is fixed within it. The inner
+        loop keeps the ``up``/``low`` feasibility masks across
+        iterations and patches them at ``i`` and ``j`` only, takes Q's
+        columns from a per-epoch cache of signed columns with the
+        ``z_i``/``z_j`` signs folded into scalar multipliers, and does
+        the two-variable update on Python floats. None of this changes
+        the arithmetic: ``(a, rho, n_iter)`` equal, byte for byte, those
+        of a loop that rebuilds every mask and column on every iteration
+        (``docs/PERFORMANCE.md``, "SMO solver inner loop").
         """
-        m2 = 2 * self.n
+        n = self.n
+        m2 = 2 * n
         a = np.zeros(m2)
         G = self.p.copy()  # gradient of the objective at a = 0
         z = self.z
-        C = self.C
+        C = float(self.C)  # the pair update keeps a as Python floats
         tol = self.tol
         n_iter = 0
         neg_inf = -np.inf
@@ -148,26 +172,37 @@ class _SMOSolver:
         active = np.arange(m2)
         while True:
             # Views over the active set (copied; written back on exit).
-            act_mod = active % self.n
+            act_mod = active % n
             za = z[active]
+            nza = -za
             aa = a[active]
             Ga = G[active]
             QDa = self.QD[active]
             pos = za > 0
+            # Feasibility masks, patched at i and j after each pair step.
+            up_mask = np.where(pos, aa < C, aa > 0.0)
+            low_mask = np.where(pos, aa > 0.0, aa < C)
+            # Scalar access goes through Python lists within the epoch.
+            al = aa.tolist()
+            zl = za.tolist()
+            tl = act_mod.tolist()
+            qdl = QDa.tolist()
+            columns: dict[int, np.ndarray] = {}
             budget = self.SHRINK_PERIOD
             converged_active = False
             last_m = np.inf
             last_M = -np.inf
 
             while n_iter < self.max_iter and budget > 0:
-                g = -(za * Ga)
-                up_mask = np.where(pos, aa < C, aa > 0.0)
-                low_mask = np.where(pos, aa > 0.0, aa < C)
+                g = nza * Ga
                 up_vals = np.where(up_mask, g, neg_inf)
-                i = int(np.argmax(up_vals))
-                g_i = float(up_vals[i])
+                i = int(up_vals.argmax())
+                g_i = up_vals.item(i)
                 low_vals = np.where(low_mask, g, np.inf)
-                last_m, last_M = g_i, float(np.min(low_vals))
+                last_m = g_i
+                # The minimum up to the sign of a zero, which only ever
+                # enters comparisons.
+                last_M = low_vals.item(low_vals.argmin())
                 if g_i - last_M < tol:
                     converged_active = True
                     break
@@ -175,69 +210,89 @@ class _SMOSolver:
                 budget -= 1
 
                 # Second-order working-set selection (LIBSVM WSS2).
-                Qi = self._q_column_active(int(active[i]), act_mod, za)
-                b_t = g_i - g
-                cand = low_mask & (b_t > 0.0)
-                denom = QDa[i] + QDa - 2.0 * Qi
+                # Q's column i is z_i * Si; z_i = +-1 flips signs exactly.
+                zi = zl[i]
+                Si = columns.get(tl[i])
+                if Si is None:
+                    Si = self._epoch_column(columns, tl[i], act_mod, za)
+                # Outside the low set b_t = g_i - inf, never positive, so
+                # b_t > 0 selects exactly the low entries below g_i.
+                b_t = g_i - low_vals
+                denom = qdl[i] + QDa - (2.0 * zi) * Si
                 np.maximum(denom, _TAU, out=denom)
-                obj = np.where(cand, -(b_t * b_t) / denom, np.inf)
-                j = int(np.argmin(obj))
-                Qj = self._q_column_active(int(active[j]), act_mod, za)
-                old_ai, old_aj = aa[i], aa[j]
+                # j = first argmax of b^2 / denom over the candidates,
+                # i.e. the first argmin of the objective change -b^2/denom.
+                obj = np.where(b_t > 0.0, (b_t * b_t) / denom, neg_inf)
+                j = int(obj.argmax())
+                zj = zl[j]
+                Sj = columns.get(tl[j])
+                if Sj is None:
+                    Sj = self._epoch_column(columns, tl[j], act_mod, za)
+                ai = old_ai = al[i]
+                aj = old_aj = al[j]
+                Gi = Ga.item(i)
+                Gj = Ga.item(j)
 
-                if za[i] != za[j]:
-                    quad = Qi[i] + Qj[j] + 2.0 * Qi[j]
+                if zi != zj:
+                    quad = zi * Si.item(i) + zj * Sj.item(j) + 2.0 * (zi * Si.item(j))
                     if quad <= 0.0:
                         quad = _TAU
-                    delta = (-Ga[i] - Ga[j]) / quad
-                    diff = aa[i] - aa[j]
-                    aa[i] += delta
-                    aa[j] += delta
+                    delta = (-Gi - Gj) / quad
+                    diff = ai - aj
+                    ai += delta
+                    aj += delta
                     if diff > 0.0:
-                        if aa[j] < 0.0:
-                            aa[j] = 0.0
-                            aa[i] = diff
+                        if aj < 0.0:
+                            aj = 0.0
+                            ai = diff
                     else:
-                        if aa[i] < 0.0:
-                            aa[i] = 0.0
-                            aa[j] = -diff
+                        if ai < 0.0:
+                            ai = 0.0
+                            aj = -diff
                     if diff > 0.0:  # C_i == C_j == C
-                        if aa[i] > C:
-                            aa[i] = C
-                            aa[j] = C - diff
+                        if ai > C:
+                            ai = C
+                            aj = C - diff
                     else:
-                        if aa[j] > C:
-                            aa[j] = C
-                            aa[i] = C + diff
+                        if aj > C:
+                            aj = C
+                            ai = C + diff
                 else:
-                    quad = Qi[i] + Qj[j] - 2.0 * Qi[j]
+                    quad = zi * Si.item(i) + zj * Sj.item(j) - 2.0 * (zi * Si.item(j))
                     if quad <= 0.0:
                         quad = _TAU
-                    delta = (Ga[i] - Ga[j]) / quad
-                    total = aa[i] + aa[j]
-                    aa[i] -= delta
-                    aa[j] += delta
+                    delta = (Gi - Gj) / quad
+                    total = ai + aj
+                    ai -= delta
+                    aj += delta
                     if total > C:
-                        if aa[i] > C:
-                            aa[i] = C
-                            aa[j] = total - C
+                        if ai > C:
+                            ai = C
+                            aj = total - C
                     else:
-                        if aa[j] < 0.0:
-                            aa[j] = 0.0
-                            aa[i] = total
+                        if aj < 0.0:
+                            aj = 0.0
+                            ai = total
                     if total > C:
-                        if aa[j] > C:
-                            aa[j] = C
-                            aa[i] = total - C
+                        if aj > C:
+                            aj = C
+                            ai = total - C
                     else:
-                        if aa[i] < 0.0:
-                            aa[i] = 0.0
-                            aa[j] = total
+                        if ai < 0.0:
+                            ai = 0.0
+                            aj = total
+                al[i] = ai
+                al[j] = aj
+                up_mask[i] = ai < C if zi > 0.0 else ai > 0.0
+                low_mask[i] = ai > 0.0 if zi > 0.0 else ai < C
+                up_mask[j] = aj < C if zj > 0.0 else aj > 0.0
+                low_mask[j] = aj > 0.0 if zj > 0.0 else aj < C
 
                 # Incremental gradient update on the active set.
-                Ga += Qi * (aa[i] - old_ai) + Qj * (aa[j] - old_aj)
+                Ga += Si * (zi * (ai - old_ai)) + Sj * (zj * (aj - old_aj))
 
             # Write the active block back into the full vectors.
+            aa = np.array(al)
             a[active] = aa
             G[active] = Ga
 
@@ -256,10 +311,8 @@ class _SMOSolver:
 
             # Shrink: keep free variables and bound variables that can
             # still violate the KKT conditions at the current (m, M).
-            g = -(za * Ga)
+            g = nza * Ga
             free = (aa > 0.0) & (aa < C)
-            up_mask = np.where(pos, aa < C, aa > 0.0)
-            low_mask = np.where(pos, aa > 0.0, aa < C)
             keep = free | (up_mask & (g > last_M)) | (low_mask & (g < last_m))
             if keep.sum() < 2:
                 keep[:] = True
@@ -346,23 +399,16 @@ class SVR(Regressor):
         self.intercept_: float = 0.0
         self.n_iter_: int = 0
 
-    def _kernel_fn(self, X: np.ndarray):
-        gamma = resolve_gamma(self.gamma, X)
-        return resolve_kernel(
-            self.kernel, gamma=gamma, degree=self.degree, coef0=self.coef0
-        )
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "SVR":
         X, y = check_X_y(X, y)
         n = X.shape[0]
-        self._kernel = self._kernel_fn(X)
+        gamma = resolve_gamma(self.gamma, X)
+        params = dict(gamma=gamma, degree=self.degree, coef0=self.coef0)
+        self._kernel = resolve_kernel(self.kernel, **params)
         cache = _KernelColumnCache(X, self._kernel, max_columns=self.cache_columns)
         p = np.concatenate([self.epsilon - y, self.epsilon + y])
         z = np.concatenate([np.ones(n), -np.ones(n)])
-        gamma = resolve_gamma(self.gamma, X)
-        k_diag = resolve_kernel_diag(
-            self.kernel, gamma=gamma, degree=self.degree, coef0=self.coef0
-        )(X)
+        k_diag = resolve_kernel_diag(self.kernel, **params)(X)
         solver = _SMOSolver(
             cache, n, p, z, self.C, self.tol, self.max_iter, k_diag
         )
