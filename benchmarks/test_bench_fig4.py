@@ -1,6 +1,6 @@
 """Bench FIG4 — the Lasso regularization path of the paper's Fig. 4.
 
-Benchmarks the warm-started path over the ten-decade lambda grid and
+Benchmarks the exact LARS-Lasso path over the ten-decade lambda grid and
 asserts the figure's shape: the number of selected parameters is
 non-increasing in lambda, starts large, and ends with a small
 high-interest set.

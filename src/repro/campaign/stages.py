@@ -39,6 +39,7 @@ import numpy as np
 from repro._version import __version__
 from repro.core import AggregationConfig, F2PM, F2PMConfig, aggregate_history
 from repro.core.dataset import TrainingSet
+from repro.core.feature_selection import SELECTION_SOLVER
 from repro.core.history import DataHistory
 from repro.core.persistence import (
     FORMAT_VERSION,
@@ -93,6 +94,12 @@ def _model_value(spec: "CampaignSpec", cell: "CampaignCell") -> dict:
     }
 
 
+def _report_value(spec: "CampaignSpec", cell: "CampaignCell") -> dict:
+    """The report scores models on the Lasso-selected set too, so its key
+    also names the selection algorithm."""
+    return {**_model_value(spec, cell), "selection_solver": SELECTION_SOLVER}
+
+
 def stage_artifact(
     spec: "CampaignSpec", cell: "CampaignCell", stage: str
 ) -> tuple[str, str]:
@@ -107,7 +114,7 @@ def stage_artifact(
         fp = fingerprint("campaign-model", _model_value(spec, cell))
         return f"model_{fp[:SHORT_DIGEST_LEN]}.bin", fp
     if stage == "evaluate":
-        fp = fingerprint("campaign-report", _model_value(spec, cell))
+        fp = fingerprint("campaign-report", _report_value(spec, cell))
         return f"report_{fp[:SHORT_DIGEST_LEN]}.json", fp
     raise ValueError(f"unknown stage {stage!r}")
 

@@ -209,11 +209,12 @@ def cmd_select(args: argparse.Namespace) -> int:
         history, AggregationConfig(window_seconds=args.window)
     )
     selector = LassoFeatureSelector().fit(dataset)
-    rows = [
-        [f"1e{int(round(np.log10(lam)))}", count]
-        for lam, count in selector.selection_counts()
-    ]
+    rows = [[f"1e{int(round(np.log10(r.lam)))}", r.count_label] for r in selector.results_]
     print(render_table(("lambda", "selected"), rows, title="Lasso regularization path"))
+    audit = selector.audit_
+    print(f"\ndesign matrix rank {audit.rank} of {audit.n_features}; exact dependencies:")
+    for line in audit.relations():
+        print(f"  {line}")
     strongest = selector.strongest_with_at_least(args.min_features)
     print(f"\nstrongest selection (lambda = {strongest.lam:.0e}):")
     for name, weight in strongest.weight_table():

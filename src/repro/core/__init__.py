@@ -27,7 +27,7 @@ from repro.core.datapoint import (
 from repro.core.history import RunRecord, DataHistory
 from repro.core.aggregation import AggregationConfig, aggregate_run, aggregate_history
 from repro.core.dataset import TrainingSet
-from repro.core.feature_selection import LassoFeatureSelector, SelectionResult
+from repro.core.feature_selection import DesignAudit, LassoFeatureSelector, SelectionResult
 from repro.core.model_zoo import make_model, available_models, PAPER_MODELS
 from repro.core.evaluation import ModelReport, evaluate_model
 from repro.core.correlation import ResponseTimeCorrelator
@@ -74,6 +74,7 @@ __all__ = [
     "aggregate_run",
     "aggregate_history",
     "TrainingSet",
+    "DesignAudit",
     "LassoFeatureSelector",
     "SelectionResult",
     "make_model",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.dataset import TrainingSet
-from repro.ml.base import Regressor
+from repro.ml.base import Regressor, solver_converged
 from repro.ml.metrics import (
     max_absolute_error,
     mean_absolute_error,
@@ -44,6 +44,8 @@ class ModelReport:
     s_mae_threshold: float
     train_time: float
     validation_time: float
+    #: The learner's iterative solver stopped at its cap.
+    capped: bool = False
 
     def row(self) -> list[object]:
         """Row for the comparison table."""
@@ -148,5 +150,6 @@ def evaluate_model(
         s_mae_threshold=smae_threshold,
         train_time=t_train.elapsed,
         validation_time=t_val.elapsed,
+        capped=not solver_converged(model),
     )
     return report, model, pred

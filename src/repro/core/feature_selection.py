@@ -7,8 +7,12 @@ and the survivors at large lambda are the features with the most weight
 in predicting the RTTF (in the paper: memory/swap quantities and their
 slopes, Table I).
 
-The whole grid is fitted with one warm-started
-:func:`~repro.ml.lasso.lasso_path` call.
+The whole grid is read off one exact LARS-Lasso homotopy
+(:func:`~repro.ml.lasso.lasso_path`): a weight is zero because
+its feature is off the path, never because a solver stopped near zero.
+The fit also audits the design matrix (:class:`DesignAudit`): its rank
+and the exact linear dependencies among its columns, which decide which
+of several interchangeable columns a selection can name.
 """
 
 from __future__ import annotations
@@ -18,10 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.dataset import TrainingSet
-from repro.ml.lasso import lasso_path
+from repro.ml.lasso import lasso_path, span_audit
 from repro.obs import get_logger, kv, span
 
 _log = get_logger("core.feature_selection")
+
+#: Names the selection algorithm inside the fingerprints of stored
+#: results that depend on the selected set (campaign reports); a store
+#: filled by another algorithm then misses instead of serving its sets.
+SELECTION_SOLVER = "lars-lasso"
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -36,6 +45,8 @@ class SelectionResult:
     lam: float
     feature_names: tuple[str, ...]
     weights: np.ndarray  # full-length beta, zeros included
+    #: False when the path's knot cap stopped it above this lambda.
+    converged: bool = True
 
     @property
     def selected(self) -> tuple[str, ...]:
@@ -50,6 +61,11 @@ class SelectionResult:
     def n_selected(self) -> int:
         return int(np.count_nonzero(self.weights))
 
+    @property
+    def count_label(self) -> str:
+        """``n_selected`` as a Fig. 4 cell, marked when the path was capped."""
+        return str(self.n_selected) if self.converged else f"{self.n_selected} (capped)"
+
     def weight_table(self) -> list[tuple[str, float]]:
         """(name, weight) pairs of the surviving features, paper Table I
         style, ordered by descending absolute weight."""
@@ -62,6 +78,56 @@ class SelectionResult:
         return pairs
 
 
+@dataclass(frozen=True)
+class DesignAudit:
+    """Rank and exact linear dependencies of the centred design matrix.
+
+    ``dependencies`` lists each dependent column in feature order with
+    its combination of earlier independent columns, ``((name, w), ...)``
+    meaning ``x_k - mean_k = sum w * (x_j - mean_j)``; a constant column
+    has the empty combination. The span test is the selection solver's
+    (:func:`~repro.ml.lasso.span_audit`).
+    """
+
+    n_features: int
+    rank: int
+    dependencies: tuple[tuple[str, tuple[tuple[str, float], ...]], ...]
+
+    @classmethod
+    def of(cls, dataset: TrainingSet) -> "DesignAudit":
+        rank, deps = span_audit(dataset.X)
+        names = dataset.feature_names
+        return cls(
+            n_features=dataset.n_features,
+            rank=rank,
+            dependencies=tuple(
+                (names[k], tuple((names[j], w) for j, w in comb))
+                for k, comb in deps
+            ),
+        )
+
+    def relations(self) -> list[str]:
+        """One line per dependent column, e.g. ``swap_free = -1*swap_used``."""
+        return [
+            f"{name} = " + " ".join(f"{w:+.6g}*{b}" for b, w in comb).lstrip("+")
+            if comb else f"{name} is constant"
+            for name, comb in self.dependencies
+        ]
+
+    def stands_for(self, name: str) -> tuple[str, ...]:
+        """Dependent columns whose combination uses *name*."""
+        return tuple(
+            dep for dep, comb in self.dependencies if any(b == name for b, _ in comb)
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "n_features": self.n_features,
+            "rank": self.rank,
+            "dependencies": {name: dict(comb) for name, comb in self.dependencies},
+        }
+
+
 class LassoFeatureSelector:
     """Runs the regularization path and exposes per-lambda selections.
 
@@ -72,7 +138,12 @@ class LassoFeatureSelector:
         *original* scale either way). The paper fits raw features — its
         Table I weights are ~1e-4 because memory features are in KB — so
         the default is False.
-    max_iter, tol : coordinate-descent controls.
+    max_iter : cap on the homotopy's knots.
+
+    Attributes (after ``fit``)
+    --------------------------
+    results_ : one :class:`SelectionResult` per grid lambda.
+    audit_ : the design matrix's :class:`DesignAudit`.
     """
 
     def __init__(
@@ -81,7 +152,6 @@ class LassoFeatureSelector:
         *,
         normalize: bool = False,
         max_iter: int = 2000,
-        tol: float = 1e-10,
     ) -> None:
         self.lambda_grid = (
             default_lambda_grid() if lambda_grid is None else np.asarray(lambda_grid, dtype=np.float64)
@@ -90,8 +160,8 @@ class LassoFeatureSelector:
             raise ValueError("lambda_grid must be a non-empty 1-D array")
         self.normalize = normalize
         self.max_iter = max_iter
-        self.tol = tol
         self.results_: list[SelectionResult] | None = None
+        self.audit_: DesignAudit | None = None
 
     def fit(self, dataset: TrainingSet) -> "LassoFeatureSelector":
         """Fit the full regularization path on *dataset*."""
@@ -101,22 +171,23 @@ class LassoFeatureSelector:
             n_samples=dataset.n_samples,
             n_features=dataset.n_features,
         ) as sp:
-            coefs = lasso_path(
+            path = lasso_path(
                 dataset.X,
                 dataset.y,
                 self.lambda_grid,
                 normalize=self.normalize,
                 max_iter=self.max_iter,
-                tol=self.tol,
             )
             self.results_ = [
                 SelectionResult(
                     lam=float(lam),
                     feature_names=dataset.feature_names,
-                    weights=coefs[i],
+                    weights=path.coefs[i],
+                    converged=bool(path.converged[i]),
                 )
                 for i, lam in enumerate(self.lambda_grid)
             ]
+            self.audit_ = DesignAudit.of(dataset)
             sp.set(nonzero_max=max(r.n_selected for r in self.results_))
         _log.info(
             "lasso path fitted %s",

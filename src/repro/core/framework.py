@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.aggregation import AggregationConfig, aggregate_history
 from repro.core.dataset import TrainingSet
 from repro.core.evaluation import ModelReport, evaluate_model, resolve_smae_threshold
-from repro.core.feature_selection import LassoFeatureSelector, SelectionResult
+from repro.core.feature_selection import DesignAudit, LassoFeatureSelector, SelectionResult
 from repro.core.history import DataHistory
 from repro.core.model_zoo import make_model
 from repro.ml.base import Regressor
@@ -118,23 +118,30 @@ class F2PMResult:
             ),
         )
 
-    def _two_column(self, metric: str, title: str) -> str:
-        """Paper-style table: one row per model, all-vs-selected columns."""
+    def _two_column(self, metric: str, title: str, mark_capped: bool = False) -> str:
+        """Paper-style table: one row per model, all-vs-selected columns.
+
+        With *mark_capped*, a cell whose fit stopped at its solver's
+        iteration cap reads ``<value> (capped)``.
+        """
         names: list[str] = []
         for r in self.reports:
             if r.feature_set == "all" and r.name not in names:
                 names.append(r.name)
         rows = []
         for name in names:
-            try:
-                all_v = getattr(self.report(name, "all"), metric)
-            except KeyError:
-                all_v = float("nan")
-            try:
-                sel_v = getattr(self.report(name, "selected"), metric)
-            except KeyError:
-                sel_v = float("nan")
-            rows.append([name, all_v, sel_v])
+            row: list[object] = [name]
+            for feature_set in ("all", "selected"):
+                try:
+                    report = self.report(name, feature_set)
+                except KeyError:
+                    row.append(float("nan"))
+                    continue
+                value = getattr(report, metric)
+                if mark_capped and report.capped:
+                    value = f"{value:.3f} (capped)"
+                row.append(value)
+            rows.append(row)
         return render_table(
             ("algorithm", "all parameters", "selected by Lasso"),
             rows,
@@ -149,12 +156,20 @@ class F2PMResult:
         )
 
     def training_time_table(self) -> str:
-        """Paper Table III analogue."""
-        return self._two_column("train_time", "Training time (seconds)")
+        """Paper Table III analogue; fits stopped at their iteration cap
+        are marked."""
+        return self._two_column(
+            "train_time", "Training time (seconds)", mark_capped=True
+        )
 
     def validation_time_table(self) -> str:
         """Paper Table IV analogue."""
         return self._two_column("validation_time", "Validation time (seconds)")
+
+    @property
+    def audit(self) -> DesignAudit:
+        """Rank and exact dependencies of the aggregated design matrix."""
+        return self.selector.audit_
 
     # -- provenance --------------------------------------------------------------
 
@@ -187,6 +202,7 @@ class F2PMResult:
                     "s_mae_threshold": r.s_mae_threshold,
                     "train_time": r.train_time,
                     "validation_time": r.validation_time,
+                    "capped": r.capped,
                 }
                 for r in self.reports
             ],
@@ -200,6 +216,7 @@ class F2PMResult:
                     "lambda": self.selection.lam,
                     "selected": list(self.selection.selected),
                 },
+                "design": self.audit.to_dict(),
                 "smae_threshold": self.smae_threshold,
                 "model_names": sorted({name for name, _ in self.models}),
             },

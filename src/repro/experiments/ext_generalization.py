@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 from repro.campaign import CampaignManager, CampaignSpec
 from repro.core.evaluation import resolve_smae_threshold
-from repro.core.feature_selection import LassoFeatureSelector
+from repro.core.feature_selection import SELECTION_SOLVER, LassoFeatureSelector
 from repro.experiments.common import (
     DEFAULT_CAMPAIGN,
     EXPERIMENT_WINDOW,
@@ -238,6 +238,7 @@ def run(
             "models": spec.models,
             "train_seed": spec.train_seed,
             "min_selected": MIN_SELECTED_FEATURES,
+            "selection_solver": SELECTION_SOLVER,
         },
     )
     report_name = f"report_{report_fp[:SHORT_DIGEST_LEN]}.json"

@@ -26,9 +26,11 @@ class Fig4Result:
     selector: LassoFeatureSelector
 
     def table(self) -> str:
+        """One row per lambda; a count the path's knot cap stopped short
+        of reads ``<count> (capped)``."""
         rows = [
-            [f"1e{int(round(np.log10(lam)))}", int(cnt)]
-            for lam, cnt in zip(self.lambdas, self.counts)
+            [f"1e{int(round(np.log10(r.lam)))}", r.count_label]
+            for r in self.selector.results_
         ]
         return render_table(
             ("lambda", "selected parameters"),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core import AggregationConfig, DataHistory, LassoFeatureSelector, aggregate_history
-from repro.core.feature_selection import SelectionResult
+from repro.core.feature_selection import DesignAudit, SelectionResult
 from repro.experiments.common import EXPERIMENT_WINDOW, default_history
 from repro.utils.tables import render_table
 
@@ -23,6 +23,9 @@ MEMORY_MARKERS = ("mem_", "swap_")
 @dataclass
 class Table1Result:
     selection: SelectionResult
+    #: The design matrix's exact dependencies: a surviving column also
+    #: stands for the dependent columns defined through it.
+    audit: DesignAudit
 
     @property
     def memory_dominated(self) -> bool:
@@ -34,11 +37,18 @@ class Table1Result:
         return n_mem * 2 >= len(selected)
 
     def table(self) -> str:
-        rows = [[name, f"{w:+.15f}"] for name, w in self.selection.weight_table()]
+        rows = [
+            [name, f"{w:+.15f}", ", ".join(self.audit.stands_for(name)) or "-"]
+            for name, w in self.selection.weight_table()
+        ]
+        capped = "" if self.selection.converged else " (capped)"
         return render_table(
-            ("parameter", "weight"),
+            ("parameter", "weight", "stands for"),
             rows,
-            title=f"Table I — weights at lambda = {self.selection.lam:.0e}",
+            title=(
+                f"Table I — weights at lambda = {self.selection.lam:.0e}{capped} "
+                f"(design rank {self.audit.rank} of {self.audit.n_features})"
+            ),
         )
 
     def manifest(self) -> dict:
@@ -69,7 +79,7 @@ def run(
     )
     selector = LassoFeatureSelector().fit(dataset)
     selection = selector.strongest_with_at_least(min_features)
-    result = Table1Result(selection=selection)
+    result = Table1Result(selection=selection, audit=selector.audit_)
     if verbose:
         print(result.table())
         print(f"memory/swap-dominated selection: {result.memory_dominated}")

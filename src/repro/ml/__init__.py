@@ -14,7 +14,7 @@ plus preprocessing, metrics (including the paper's S-MAE) and model
 selection utilities.
 """
 
-from repro.ml.base import Regressor, clone
+from repro.ml.base import Regressor, clone, solver_converged
 from repro.ml.preprocessing import StandardScaler, MinMaxScaler
 from repro.ml.metrics import (
     mean_absolute_error,
@@ -31,7 +31,7 @@ from repro.ml.model_selection import (
     GridSearchCV,
 )
 from repro.ml.linear import LinearRegression, RidgeRegression
-from repro.ml.lasso import Lasso, lasso_path
+from repro.ml.lasso import Lasso, LassoPath, lasso_path, span_audit
 from repro.ml.kernels import (
     KernelExpansion,
     kernel_gram,
@@ -50,6 +50,7 @@ from repro.ml.serving import CompiledPredictor, CompileReport, compile_predictor
 __all__ = [
     "Regressor",
     "clone",
+    "solver_converged",
     "StandardScaler",
     "MinMaxScaler",
     "mean_absolute_error",
@@ -66,6 +67,8 @@ __all__ = [
     "RidgeRegression",
     "Lasso",
     "lasso_path",
+    "LassoPath",
+    "span_audit",
     "KernelExpansion",
     "kernel_gram",
     "linear_kernel",

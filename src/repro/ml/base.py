@@ -119,6 +119,19 @@ class Regressor(ABC):
         return f"{type(self).__name__}({params})"
 
 
+def solver_converged(model: Regressor) -> bool:
+    """False when the model's iterative solver stopped at its cap.
+
+    Wrappers (``inner_``) are looked through. ``converged_`` is read with
+    ``getattr``, so models pickled before the flag existed, and learners
+    without an iterative solver, count as converged.
+    """
+    inner = getattr(model, "inner_", None)
+    if inner is not None:
+        return solver_converged(inner)
+    return bool(getattr(model, "converged_", True))
+
+
 def clone(estimator: Regressor) -> Regressor:
     """Return a new unfitted estimator with the same hyper-parameters."""
     return type(estimator)(**estimator.get_params())

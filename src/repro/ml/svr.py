@@ -48,6 +48,7 @@ from repro.ml.kernels import (
     resolve_kernel_diag,
     squared_norms,
 )
+from repro.obs.metrics import get_metrics
 from repro.utils.validation import check_array, check_is_fitted, check_X_y
 
 _TAU = 1e-12
@@ -102,6 +103,8 @@ class _SMOSolver:
         self.max_iter = max_iter
         # Diagonal of Q: Q_tt = z_t^2 K_tt = K_tt, duplicated for both blocks.
         self.QD = np.concatenate([k_diag, k_diag])
+        #: Set by ``solve``: the final KKT gap fell below ``tol``.
+        self.converged = False
 
     #: Re-examine the active set every this many inner iterations.
     SHRINK_PERIOD = 1000
@@ -304,7 +307,8 @@ class _SMOSolver:
                 low_mask = np.where(z > 0, a > 0.0, a < C)
                 g_max = float(np.max(np.where(up_mask, g, neg_inf)))
                 g_min = float(np.min(np.where(low_mask, g, np.inf)))
-                if g_max - g_min < tol or n_iter >= self.max_iter:
+                self.converged = g_max - g_min < tol
+                if self.converged or n_iter >= self.max_iter:
                     break
                 active = np.arange(m2)  # restart on the full problem
                 continue
@@ -367,6 +371,8 @@ class SVR(Regressor):
     dual_coef_ : beta values at the support vectors.
     intercept_ : float bias.
     n_iter_ : SMO iterations used.
+    converged_ : False when ``max_iter`` stopped SMO with the final KKT
+        gap still at or above ``tol``.
     """
 
     def __init__(
@@ -398,6 +404,7 @@ class SVR(Regressor):
         self.dual_coef_: np.ndarray | None = None
         self.intercept_: float = 0.0
         self.n_iter_: int = 0
+        self.converged_: bool = True
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "SVR":
         X, y = check_X_y(X, y)
@@ -413,6 +420,9 @@ class SVR(Regressor):
             cache, n, p, z, self.C, self.tol, self.max_iter, k_diag
         )
         a, rho, self.n_iter_ = solver.solve()
+        self.converged_ = solver.converged
+        if not self.converged_:
+            get_metrics().inc("ml.solver_capped_total.svr")
         beta = a[:n] - a[n:]
         support = np.flatnonzero(np.abs(beta) > 1e-12)
         self.support_ = support

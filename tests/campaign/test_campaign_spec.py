@@ -8,12 +8,15 @@ the file) or spec fingerprinting drifted by accident — a cache-busting
 bug, because every artifact in every user's store is keyed by it.
 """
 
+import json
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.campaign import CampaignSpec, STAGES, merged_cells, stage_artifact
+from repro.campaign import stages
+from repro.store.keys import fingerprint
 from repro.experiments.common import _campaign_fingerprint
 from repro.system.tpcw import MIXES
 from tests.campaign.conftest import tiny_spec
@@ -67,6 +70,45 @@ class TestFingerprint:
         assert cell.fingerprint == _campaign_fingerprint(cell.config)
         name, fp = stage_artifact(spec, cell, "simulate")
         assert name == f"history_{fp[:16]}.npz"
+
+
+class TestSelectionSolverTag:
+    """Reports score models on the Lasso-selected set, so their keys name
+    the selection solver; the keys of everything upstream of selection
+    stay byte-identical, so nothing re-simulates or re-aggregates."""
+
+    #: ``golden_spec()``'s first cell before the tag existed.
+    PINNED = {
+        "simulate": "history_6569214c65834b2e.npz",
+        "aggregate": "dataset_fc688e4fcc0521af.npz",
+        "train": "model_572f0767e9b74e2f.bin",
+    }
+    OLD_REPORT = "report_964d88f7180a3cdf.json"
+
+    def test_upstream_names_unchanged(self):
+        spec = golden_spec()
+        cell = spec.cells()[0]
+        for stage, name in self.PINNED.items():
+            assert stage_artifact(spec, cell, stage)[0] == name
+        assert stage_artifact(spec, cell, "evaluate")[0] != self.OLD_REPORT
+
+    def test_report_under_the_old_key_is_not_served(self, store):
+        spec = tiny_spec(stages=STAGES, models=("linear",))
+        (cell,) = spec.cells()
+        old_fp = fingerprint("campaign-report", stages._model_value(spec, cell))
+        stale = {"schema": "f2pm.campaign-report/1", "stale": True}
+        store.get_or_produce(
+            f"report_{old_fp[:16]}.json",
+            lambda: stale,
+            save=lambda doc, path: path.write_text(json.dumps(doc)),
+            load=lambda path: json.loads(path.read_text()),
+            kind="campaign-report",
+            fingerprint=old_fp,
+        )
+        doc, produced = stages.evaluate_cell(spec, cell, store)
+        assert produced and "stale" not in doc
+        name, fp = stage_artifact(spec, cell, "evaluate")
+        assert fp != old_fp and store.contains(name)
 
 
 class TestSerialization:

@@ -7,11 +7,22 @@ the full crash dynamics (cache eviction, swap fill, thrashing, failure).
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
 
-from repro.core import AggregationConfig, aggregate_history
-from repro.system import CampaignConfig, MachineConfig, TestbedSimulator
+# One BLAS thread for the whole session, set before numpy loads: an
+# OpenBLAS thread-pool stall adds milliseconds to sub-millisecond fits,
+# which wall-clock comparisons cannot tell from a slow fit, and the BLAS
+# thread count changes SVR bits (docs/PARALLELISM.md). The session
+# checks that the pin took effect (test_integration.py).
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from repro.core import AggregationConfig, aggregate_history  # noqa: E402
+from repro.system import CampaignConfig, MachineConfig, TestbedSimulator  # noqa: E402
 
 
 def small_machine() -> MachineConfig:

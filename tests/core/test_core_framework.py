@@ -65,6 +65,11 @@ class TestF2PMRun:
         # every model appears in the two-column tables
         assert "reptree" in result.smae_table()
 
+    def test_manifest_carries_design_audit(self, result):
+        design = result.manifest()["design"]
+        assert design == result.audit.to_dict()
+        assert design["rank"] + len(design["dependencies"]) == design["n_features"]
+
     def test_lasso_predictor_same_both_feature_sets(self, result):
         # the Lasso-as-predictor is feature-selection-invariant in the
         # paper's Table II (identical columns); ours trains on each set,

@@ -10,7 +10,7 @@ from repro.ml.linear import LinearRegression
 class TestLassoFit:
     def test_zero_lambda_matches_ols(self, linear_data):
         X, y = linear_data
-        lasso = Lasso(lam=0.0, max_iter=5000, tol=1e-12).fit(X, y)
+        lasso = Lasso(lam=0.0, max_iter=5000).fit(X, y)
         ols = LinearRegression().fit(X, y)
         assert np.allclose(lasso.coef_, ols.coef_, atol=1e-6)
         assert lasso.intercept_ == pytest.approx(ols.intercept_, abs=1e-6)
@@ -66,7 +66,7 @@ class TestLassoFit:
     def test_normalize_equivalence_of_predictions(self, linear_data):
         # normalize=True must still report coefficients on the raw scale
         X, y = linear_data
-        m = Lasso(lam=0.0, normalize=True, max_iter=5000, tol=1e-12).fit(X, y)
+        m = Lasso(lam=0.0, normalize=True, max_iter=5000).fit(X, y)
         ols = LinearRegression().fit(X, y)
         assert np.allclose(m.predict(X), ols.predict(X), atol=1e-5)
 
@@ -87,27 +87,27 @@ class TestLassoPath:
     def test_shape(self, linear_data):
         X, y = linear_data
         lams = np.logspace(-3, 3, 7)
-        coefs = lasso_path(X, y, lams)
+        coefs = lasso_path(X, y, lams).coefs
         assert coefs.shape == (7, X.shape[1])
 
     def test_matches_individual_fits(self, linear_data):
         X, y = linear_data
         lams = np.array([0.01, 1.0, 100.0])
-        coefs = lasso_path(X, y, lams, max_iter=5000, tol=1e-12)
+        coefs = lasso_path(X, y, lams, max_iter=5000).coefs
         for lam, path_coef in zip(lams, coefs):
-            solo = Lasso(lam=lam, max_iter=5000, tol=1e-12).fit(X, y)
+            solo = Lasso(lam=lam, max_iter=5000).fit(X, y)
             assert np.allclose(path_coef, solo.coef_, atol=1e-6)
 
     def test_order_independent(self, linear_data):
         X, y = linear_data
-        asc = lasso_path(X, y, np.array([0.1, 1.0, 10.0]))
-        desc = lasso_path(X, y, np.array([10.0, 1.0, 0.1]))
+        asc = lasso_path(X, y, np.array([0.1, 1.0, 10.0])).coefs
+        desc = lasso_path(X, y, np.array([10.0, 1.0, 0.1])).coefs
         assert np.allclose(asc, desc[::-1], atol=1e-8)
 
     def test_sparsity_monotone_along_path(self, linear_data):
         X, y = linear_data
         lams = np.logspace(-3, 6, 10)
-        coefs = lasso_path(X, y, lams)
+        coefs = lasso_path(X, y, lams).coefs
         nnz = (np.abs(coefs) > 0).sum(axis=1)
         assert (np.diff(nnz) <= 0).all()
 

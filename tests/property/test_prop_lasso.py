@@ -44,7 +44,7 @@ class TestLassoProperties:
     def test_path_sparsity_monotone(self, prob):
         X, y = prob
         lams = np.logspace(-2, 5, 8)
-        coefs = lasso_path(X, y, lams)
+        coefs = lasso_path(X, y, lams).coefs
         nnz = (np.abs(coefs) > 0).sum(axis=1)
         assert (np.diff(nnz) <= 0).all()
 
@@ -68,7 +68,7 @@ class TestLassoProperties:
         """Subgradient optimality: |2/n X_k'r| <= lam (+tol) for zero
         coefficients; equality (sign-matched) for active ones."""
         X, y = prob
-        m = Lasso(lam=lam, tol=1e-12, max_iter=5000).fit(X, y)
+        m = Lasso(lam=lam, max_iter=5000).fit(X, y)
         Xc = X - X.mean(axis=0)
         yc = y - y.mean()
         n = X.shape[0]

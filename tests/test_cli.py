@@ -117,6 +117,12 @@ class TestSelect:
         assert "strongest selection" in out
         assert "1e9" in out
 
+    def test_prints_design_rank_and_dependencies(self, history_file, capsys):
+        assert main(["select", history_file, "--window", "30"]) == 0
+        out = capsys.readouterr().out
+        assert "design matrix rank" in out
+        assert "swap_free = -1*swap_used" in out
+
 
 class TestTrain:
     def test_prints_tables(self, history_file, capsys):
