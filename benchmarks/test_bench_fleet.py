@@ -63,7 +63,7 @@ def test_fleet_10k_nodes_realtime():
         SyntheticFleetSource(spec),
         ManagedSystemConfig(horizon_seconds=horizon, window_seconds=20.0),
         PredictiveRejuvenation(spec.linear_model(), rttf_margin=150.0),
-        FleetConfig(n_nodes=N_NODES, engine="batched"),
+        FleetConfig(n_nodes=N_NODES),
     )
     start = time.perf_counter()
     log = controller.run(seed=0)

@@ -801,7 +801,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         n_nodes=args.nodes,
         capacity_floor=args.capacity_floor,
         drain_seconds=args.drain,
-        engine=args.engine,
         scoring="compiled" if args.compiled else "exact",
     )
     policies = [
@@ -820,7 +819,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             FleetReport.HEADERS,
             rows,
             title=f"Fleet of {args.nodes} nodes over {args.horizon:.0f}s "
-            f"({args.engine} scoring, floor {args.capacity_floor:.0%})",
+            f"({fleet.scoring} scoring, floor {args.capacity_floor:.0%})",
             float_fmt=".4f",
         )
     )
@@ -1098,8 +1097,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--substrate",
         choices=("fused", "loop"),
         default="fused",
-        help="simulation engine for the training campaign "
-        "(bit-identical output; see docs/PERFORMANCE.md)",
+        help="simulation engine for the training campaign and the "
+        "managed runs (bit-identical output; see docs/PERFORMANCE.md)",
     )
     p.add_argument(
         "--compiled",
@@ -1116,13 +1115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=3000.0)
     p.add_argument("--window", type=float, default=20.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--engine",
-        choices=("batched", "scalar"),
-        default="batched",
-        help="RTTF scoring engine: one batched model call per tick, or "
-        "the per-node scalar oracle (bit-identical; see docs/FLEET.md)",
-    )
     p.add_argument(
         "--capacity-floor",
         type=float,
@@ -1142,7 +1134,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--compiled",
         action="store_true",
         help="score RTTF through the compiled predict plane "
-        "(batched engine only; see docs/PERFORMANCE.md)",
+        "(see docs/PERFORMANCE.md)",
     )
     p.set_defaults(func=cmd_fleet)
 

@@ -45,17 +45,11 @@ from repro.core.ingest import (
     read_campaign_csv,
     write_run_csv,
 )
-from repro.core.drift import (
-    DriftStatus,
-    ResidualDriftDetector,
-    TrajectoryConsistencyMonitor,
-)
 from repro.core.sanitize import (
     DataQualityError,
     QualityReport,
     RunQualityReport,
     SanitizeConfig,
-    StreamSanitizer,
     sanitize_history,
     sanitize_run,
 )
@@ -98,14 +92,10 @@ __all__ = [
     "read_run_csv",
     "read_campaign_csv",
     "write_run_csv",
-    "DriftStatus",
-    "ResidualDriftDetector",
-    "TrajectoryConsistencyMonitor",
     "DataQualityError",
     "QualityReport",
     "RunQualityReport",
     "SanitizeConfig",
-    "StreamSanitizer",
     "sanitize_history",
     "sanitize_run",
 ]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.datapoint import AGGREGATED_FEATURES, FEATURES
+from repro.core.datapoint import AGGREGATED_FEATURES
 from repro.core.dataset import TrainingSet
 from repro.core.history import DataHistory, RunRecord
 
@@ -154,152 +154,3 @@ def aggregate_history(
         feature_names=AGGREGATED_FEATURES,
         run_ids=np.concatenate(run_ids),
     )
-
-
-class OnlineAggregator:
-    """Streaming counterpart of :func:`aggregate_run` (unlabelled).
-
-    Feed raw datapoints one at a time; whenever a time window closes, the
-    completed window's aggregated feature row (same 30-column schema,
-    same Eq. 1 slope and gen-time semantics as the batch path — parity is
-    tested) is returned. Used by the proactive-rejuvenation controller,
-    which must evaluate the RTTF model *during* a run, not after it.
-
-    Parameters
-    ----------
-    window_seconds : the aggregation interval (same as the batch config).
-    min_points : windows with fewer raw datapoints are suppressed, exactly
-        as :class:`AggregationConfig.min_points` drops them in the batch
-        path (their datapoints still advance the inter-generation-time
-        chain, again matching batch semantics).
-    policy : ``"strict"`` (default) raises on out-of-order arrivals;
-        ``"repair"`` tolerates bounded reordering — a late datapoint still
-        belonging to the *current* window is inserted in timestamp order,
-        one belonging to an already-closed window is dropped and counted
-        in :attr:`late_dropped` (and the ``sanitize.online_late_dropped``
-        counter). The bound therefore equals one aggregation window,
-        which is also the most the batch path could absorb while keeping
-        its windows identical.
-    """
-
-    def __init__(
-        self,
-        window_seconds: float,
-        *,
-        min_points: int = 1,
-        policy: str = "strict",
-    ) -> None:
-        if window_seconds <= 0:
-            raise ValueError(f"window_seconds must be positive, got {window_seconds}")
-        if min_points < 1:
-            raise ValueError(f"min_points must be >= 1, got {min_points}")
-        if policy not in ("strict", "repair"):
-            raise ValueError(
-                f"policy must be 'strict' or 'repair', got {policy!r}"
-            )
-        self.window_seconds = window_seconds
-        self.min_points = min_points
-        self.policy = policy
-        #: repair-mode count of datapoints dropped for arriving after
-        #: their window had already closed.
-        self.late_dropped = 0
-        self._rows: list[np.ndarray] = []
-        self._intervals: list[float] = []
-        self._unsorted = False
-        self._bin: int | None = None
-        self._last_tgen: float = 0.0
-        # Last tgen of the previously finalized window: the anchor the
-        # interval chain restarts from when a window needs re-sorting.
-        self._window_anchor: float = 0.0
-
-    def _finalize(self) -> "np.ndarray | None":
-        block = np.vstack(self._rows)
-        if self._unsorted:
-            # Bounded reordering happened inside this window: restore the
-            # batch path's sorted order and rebuild the interval chain
-            # from the previous window's last timestamp (exactly what the
-            # batch path computes after its global stable sort).
-            order = np.argsort(block[:, 0], kind="stable")
-            block = block[order]
-            intervals = np.diff(np.concatenate([[self._window_anchor], block[:, 0]]))
-        else:
-            intervals = np.asarray(self._intervals)
-        n = block.shape[0]
-        self._rows.clear()
-        self._intervals.clear()
-        self._unsorted = False
-        self._window_anchor = float(block[-1, 0])
-        if n < self.min_points:
-            return None
-        # Sum with np.add.reduceat, exactly like the batch path: np.mean
-        # uses pairwise summation, which can differ from the sequential
-        # segment sum in the last ulp and break batch<->online bit parity.
-        start = np.zeros(1, dtype=np.intp)
-        means = np.add.reduceat(block, start, axis=0)[0] / n
-        slopes = (block[-1, 1:] - block[0, 1:]) / n
-        gen_time = float(np.add.reduceat(np.asarray(intervals, dtype=np.float64), start)[0] / n)
-        return np.concatenate([means, slopes, [gen_time]])
-
-    def add(self, datapoint_row: np.ndarray) -> "np.ndarray | None":
-        """Ingest one raw datapoint (15-column row, canonical order).
-
-        Returns the completed previous window's aggregated row when this
-        datapoint opens a new window (and the window clears
-        ``min_points``), else ``None``.
-        """
-        row = np.asarray(datapoint_row, dtype=np.float64)
-        if row.shape != (len(FEATURES),):
-            raise ValueError(f"expected a ({len(FEATURES)},) row, got {row.shape}")
-        tgen = float(row[0])
-        if tgen < self._last_tgen:
-            if self.policy == "strict":
-                raise ValueError("datapoints must arrive in tgen order")
-            new_bin = int(tgen // self.window_seconds)
-            if self._bin is None or new_bin < self._bin:
-                # The window this datapoint belongs to already closed:
-                # beyond the reordering bound — quarantine the point.
-                self.late_dropped += 1
-                from repro.obs import get_metrics
-
-                get_metrics().inc("sanitize.online_late_dropped")
-                return None
-            # Late but still inside the open window: insert in order.
-            self._rows.append(row)
-            self._unsorted = True
-            return None
-        new_bin = int(tgen // self.window_seconds)
-        finished: np.ndarray | None = None
-        if self._bin is not None and new_bin != self._bin and self._rows:
-            finished = self._finalize()
-        self._bin = new_bin
-        self._rows.append(row)
-        # Batch-path semantics: each point carries the interval that
-        # preceded it; the run's first point carries its own tgen (and
-        # _last_tgen is 0 right after construction/reset, so the same
-        # expression covers it).
-        self._intervals.append(tgen - self._last_tgen)
-        self._last_tgen = tgen
-        return finished
-
-    def flush(self) -> "np.ndarray | None":
-        """Finalize the (possibly partial) current window, if any.
-
-        Windows below ``min_points`` are suppressed here too, mirroring
-        the batch path's treatment of the run's final window.
-        """
-        if not self._rows:
-            return None
-        return self._finalize()
-
-    def reset(self) -> None:
-        """Forget all buffered state (after a restart/rejuvenation)."""
-        self._rows.clear()
-        self._intervals.clear()
-        self._unsorted = False
-        self._bin = None
-        self._last_tgen = 0.0
-        self._window_anchor = 0.0
-
-
-# Re-export for convenience in sanity checks.
-N_RAW_FEATURES = len(FEATURES)

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.datapoint import FEATURES
 from repro.core.history import DataHistory, RunRecord
-from repro.obs import get_logger, get_metrics, get_telemetry, kv
+from repro.obs import get_logger, get_metrics, kv
 
 _log = get_logger("core.sanitize")
 
@@ -816,84 +816,3 @@ def sanitize_history(
         "sanitize.issues_per_history", float(len(report.issues))
     )
     return out, report
-
-
-# -- streaming sanitizer -----------------------------------------------------------
-
-
-@dataclass
-class StreamDecision:
-    """What :meth:`StreamSanitizer.process` did with one datapoint."""
-
-    row: "np.ndarray | None"  # sanitized row to feed downstream, or None
-    dropped: bool = False
-    reset: bool = False  # a clock reset was detected (and re-based)
-
-
-class StreamSanitizer:
-    """Guard in front of a live :class:`~repro.core.aggregation.OnlineAggregator`.
-
-    Applies the repair policy to a datapoint *stream*: rows with
-    non-finite cells are dropped (interpolation needs the future),
-    clock resets are re-based onto the monotone stream clock, and
-    bounded reordering is passed through for the aggregator's own
-    repair mode to resolve. Used by the rejuvenation controller so a
-    monitor glitch degrades the control loop instead of crashing it.
-    """
-
-    def __init__(self, config: "SanitizeConfig | None" = None) -> None:
-        self.config = config or SanitizeConfig()
-        self.dropped_total = 0
-        self.resets_total = 0
-        self._offset = 0.0
-        self._max_tgen = 0.0
-        self._last_intervals: list[float] = []
-
-    def reset(self) -> None:
-        """Forget stream state (after a restart/rejuvenation)."""
-        self._offset = 0.0
-        self._max_tgen = 0.0
-        self._last_intervals.clear()
-
-    def _median_interval(self) -> float:
-        return float(np.median(self._last_intervals)) if self._last_intervals else 0.0
-
-    def process(self, datapoint_row: np.ndarray) -> StreamDecision:
-        row = np.asarray(datapoint_row, dtype=np.float64)
-        metrics = get_metrics()
-        if row.shape != (len(FEATURES),) or not np.isfinite(row).all() or row[0] < 0:
-            self.dropped_total += 1
-            metrics.inc("sanitize.stream_dropped_total")
-            # Live cumulative-drop series, timestamped on the monotone
-            # stream clock (the row's own clock may be the corruption).
-            get_telemetry().emit(
-                "sanitize.stream_dropped", self._max_tgen, float(self.dropped_total)
-            )
-            return StreamDecision(row=None, dropped=True)
-        tgen = float(row[0]) + self._offset
-        med = self._median_interval()
-        reset = False
-        if (
-            med > 0
-            and tgen < self.config.clock_reset_fraction * self._max_tgen
-            and self._max_tgen - tgen > self.config.min_reset_drop * med
-        ):
-            # Clock reset: re-base so the downstream clock stays monotone.
-            self._offset += self._max_tgen + med - tgen
-            tgen = float(row[0]) + self._offset
-            self.resets_total += 1
-            reset = True
-            metrics.inc("sanitize.stream_resets_total")
-            get_telemetry().emit(
-                "sanitize.stream_resets", tgen, float(self.resets_total)
-            )
-        if tgen > self._max_tgen:
-            if self._max_tgen > 0:
-                self._last_intervals.append(tgen - self._max_tgen)
-                if len(self._last_intervals) > 32:
-                    del self._last_intervals[0]
-            self._max_tgen = tgen
-        if self._offset != 0.0:
-            row = row.copy()
-            row[0] = tgen
-        return StreamDecision(row=row, reset=reset)

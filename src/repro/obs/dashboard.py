@@ -3,8 +3,9 @@
 The dashboard consumes the JSONL stream a run writes with
 ``--telemetry-jsonl`` (or an in-process :class:`~repro.obs.telemetry.
 TelemetryBus` snapshot) and redraws a compact status frame: controller
-health, a predicted-RTTF sparkline against observed truth, sanitize
-counters, and the most recent rejuvenation/crash events.
+health (live capacity, headroom, predicted failures, RTTF error),
+sparklines of every series, the sanitizer's drop count, and the most
+recent rejuvenation/crash events.
 
 Everything here is deliberately split into pure pieces so it is
 testable without a terminal:
@@ -34,19 +35,14 @@ from repro.obs.telemetry import JSONL_SCHEMA, TimeSeries
 #: Unicode block ramp used by :func:`sparkline` (8 levels).
 _BLOCKS = "▁▂▃▄▅▆▇█"
 
-#: Series the dashboard knows how to headline, in display order.
+#: Series the dashboard knows how to headline, in display order: the
+#: ones the control loop emits (any other series renders after them).
 _HEADLINE_SERIES = (
-    "controller.predicted_rttf",
-    "controller.actual_rttf",
-    "controller.rttf_error",
-    "controller.ewma_rt",
-    "controller.utilization",
-    "controller.stale_holds",
-    "controller.episode_uptime",
-    "sanitize.dropped_total",
     "fleet.live_fraction",
     "fleet.capacity_headroom",
     "fleet.predicted_failures_per_hour",
+    "fleet.rttf_error",
+    "sanitize.dropped_total",
 )
 
 
@@ -154,21 +150,19 @@ def render_frame(state: DashboardState, width: int = 78) -> str:
     lines.append("")
 
     # Controller health headline.
-    pred = state.last("controller.predicted_rttf")
-    err = state.last("controller.rttf_error")
-    ewma = state.last("controller.ewma_rt")
-    util = state.last("controller.utilization")
-    stale = state.last("controller.stale_holds")
+    live = state.last("fleet.live_fraction")
+    headroom = state.last("fleet.capacity_headroom")
+    at_risk = state.last("fleet.predicted_failures_per_hour")
+    err = state.last("fleet.rttf_error")
     lines.append(
         " controller   "
-        f"predicted RTTF {_fmt(pred, 's'):>12}   "
-        f"RTTF error {_fmt(err, 's'):>10}   "
-        f"stale holds {_fmt(stale):>6}"
+        f"live fraction {_fmt(live):>8}   "
+        f"headroom {_fmt(headroom):>8}   "
+        f"RTTF error {_fmt(err, 's'):>10}"
     )
     lines.append(
         "              "
-        f"EWMA resp     {_fmt(ewma, 's'):>12}   "
-        f"utilization {_fmt(util):>9}"
+        f"predicted failures/h {_fmt(at_risk):>6}"
     )
     lines.append("")
 
@@ -198,19 +192,12 @@ def render_frame(state: DashboardState, width: int = 78) -> str:
         lines.append(" (no points yet)")
     lines.append("")
 
-    # Sanitize counters.
+    # Sanitize counter.
     dropped = state.last("sanitize.dropped_total")
-    stream_dropped = state.last("sanitize.stream_dropped")
-    resets = state.last("sanitize.stream_resets")
-    lines.append(
-        " sanitize     "
-        f"dropped {_fmt(dropped):>8}   "
-        f"stream drops {_fmt(stream_dropped):>8}   "
-        f"clock resets {_fmt(resets):>6}"
-    )
+    lines.append(f" sanitize     dropped {_fmt(dropped):>8}")
     lines.append("")
 
-    # Recent events (rejuvenations, crashes, stale holds, fallbacks).
+    # Recent events (rejuvenations, crashes, horizons, fallbacks).
     lines.append(f" recent events ({state.events_total} total)")
     recent = state.events[-8:]
     if not recent:

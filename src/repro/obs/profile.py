@@ -1,7 +1,7 @@
 """Per-stage profiling whose own cost is measured, not assumed.
 
 :class:`StageProfiler` wraps pipeline stages (``with profiler.stage(
-"controller.predict"): ...``) and hot-loop samples
+"fleet.predict"): ...``) and hot-loop samples
 (:meth:`StageProfiler.record`) into wall-clock **and** CPU latency
 histograms in the metrics registry — which, being log-bucketed
 (:class:`repro.obs.metrics.Histogram`), hold a hot path's full latency

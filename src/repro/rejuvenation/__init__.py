@@ -16,13 +16,13 @@ This package closes the loop:
 - :mod:`~repro.rejuvenation.controller` — a managed testbed simulation
   that monitors the live system through the streaming aggregator,
   consults the policy at every completed window, and accounts uptime /
-  downtime per episode;
+  downtime per episode; it runs as a fleet of one;
 - :mod:`~repro.rejuvenation.metrics` — availability, crash counts,
   rejuvenation lead times;
-- :mod:`~repro.rejuvenation.fleet` — N node loops under one policy
-  engine: struct-of-arrays stream state, batched RTTF scoring (one
-  model call per tick), capacity-floor restart staggering, and drain
-  before kill.
+- :mod:`~repro.rejuvenation.fleet` — the control loop, N node loops
+  under one policy engine: struct-of-arrays stream state, batched RTTF
+  scoring (one model call per tick), capacity-floor restart staggering,
+  and drain before kill.
 """
 
 from repro.rejuvenation.policy import (

@@ -1,33 +1,33 @@
 """Fleet-scale rejuvenation: N managed nodes under one policy engine.
 
-The single-server :class:`~repro.rejuvenation.controller.ManagedSystem`
-closes the control loop for one app server. Production deployments run
-*fleets* — N instances behind a load balancer — and the control plane
-must score all of them in real time. This module promotes the loop to a
-:class:`FleetController`:
+Production deployments run *fleets* — N app-server instances behind a
+load balancer — and the control plane must score all of them in real
+time. :class:`FleetController` is the one control loop; the single-server
+:class:`~repro.rejuvenation.controller.ManagedSystem` is a fleet of one.
 
 - per-node sanitize + aggregate state lives **struct-of-arrays** in a
   :class:`FleetStream` (one ``(N, cap, 15)`` window buffer, one offset /
   anchor / ring-median array each), bit-identical to N independent
-  ``StreamSanitizer`` + ``OnlineAggregator(policy="repair")`` pairs;
+  per-row sanitizer + repair-mode streaming aggregator pairs (the scalar
+  references in ``tests/rejuvenation/control_reference.py``);
 - RTTF scoring is **batched**: one ``model.predict`` call on an
-  ``(n_due, 30)`` matrix per tick instead of N scalar predicts. A scalar
-  per-node engine (``engine="scalar"``) is kept as the oracle, and the
-  two are pinned bit-identical by tests — the same contract the ``fused``
-  simulation substrate holds against the legacy ``loop``;
+  ``(n_due, 30)`` matrix per tick instead of N scalar predicts, pinned
+  bit-identical by tests to a per-node scalar plane — the same contract
+  the ``fused`` simulation substrate holds against the legacy ``loop``;
 - a **fleet rejuvenation policy** staggers planned restarts so live
   capacity never drops below ``capacity_floor`` (crashes can still breach
   it — those are counted as floor violations), and drains a node for
   ``drain_seconds`` before killing it;
 - fleet telemetry on the existing bus: ``fleet.live_fraction``,
   ``fleet.capacity_headroom``, ``fleet.predicted_failures_per_hour``
-  (live nodes whose latest mean RTTF prediction is under one hour), and
-  one per-node episode event per crash / rejuvenation / horizon.
+  (live nodes whose latest mean RTTF prediction is under one hour),
+  ``sanitize.dropped_total``, ``fleet.rttf_error`` on crashes, and one
+  per-node episode event per crash / rejuvenation / horizon.
 
 A fleet of one node over a :class:`SimulatedFleetSource`, with
-``capacity_floor=0`` and ``drain_seconds=0`` and grid-aligned downtimes,
-reproduces ``ManagedSystem.run`` episode-for-episode, bit-exact — also
-pinned by tests.
+``capacity_floor=0`` and ``drain_seconds=0``, reproduces the old
+single-node loop (kept as a test reference) episode-for-episode,
+bit-exact — also pinned by tests.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.aggregation import OnlineAggregator
 from repro.core.datapoint import FEATURES
 from repro.obs import get_logger, get_metrics, kv, span
 from repro.rejuvenation.controller import (
@@ -100,14 +99,10 @@ class FleetConfig:
     #: before going down — connection draining. 0 kills immediately,
     #: which is what the single-node equivalence contract requires.
     drain_seconds: float = 0.0
-    #: Scoring engine: "batched" (struct-of-arrays control plane, one
-    #: predict per tick) or "scalar" (per-node objects — the oracle).
-    engine: str = "batched"
     #: RTTF scoring plane: "exact" serves the policy model as-is (the
-    #: default — bit-identical to the scalar oracle), "compiled" serves
+    #: default — bit-identical to the scalar reference), "compiled" serves
     #: through :func:`repro.ml.serving.compile_predictor` (low-rank /
-    #: reduced-precision, accuracy-gated at compile time). Compiled
-    #: scoring requires the batched engine.
+    #: reduced-precision, accuracy-gated at compile time).
     scoring: str = "exact"
     #: Fleet-level series are emitted every this many ticks.
     telemetry_stride: int = 8
@@ -123,18 +118,9 @@ class FleetConfig:
             raise ValueError(
                 f"drain_seconds must be >= 0, got {self.drain_seconds}"
             )
-        if self.engine not in ("batched", "scalar"):
-            raise ValueError(
-                f"engine must be 'batched' or 'scalar', got {self.engine!r}"
-            )
         if self.scoring not in ("exact", "compiled"):
             raise ValueError(
                 f"scoring must be 'exact' or 'compiled', got {self.scoring!r}"
-            )
-        if self.scoring == "compiled" and self.engine != "batched":
-            raise ValueError(
-                "scoring='compiled' requires engine='batched'; the scalar "
-                "engine is the exact oracle"
             )
         if self.telemetry_stride < 1:
             raise ValueError(
@@ -293,11 +279,11 @@ class SimulatedFleetSource(FleetSource):
     episode runs ahead to its next monitor sample or crash, which is
     exact because a node's trajectory depends on its own streams only.
 
-    Each node boots exactly like a ``ManagedSystem`` episode (same RNG
-    spawn order, including the conditional corruptor spawn), so a fleet
-    of one driven by ``as_rng(seed).spawn(1)[0]`` consumes the identical
-    seed sequence as ``ManagedSystem.run(seed)``. The anomaly-injector
-    stream is spawned after those, and only when an injector is on.
+    A boot spawns the four component streams a campaign run spawns, then
+    the corruptor stream only when a fault profile is installed, then the
+    anomaly-injector stream only when an injector is on — so a clean
+    node episode draws the same bits as ``run_once`` on the node's
+    generator.
     """
 
     def __init__(
@@ -336,9 +322,8 @@ class SimulatedFleetSource(FleetSource):
         cfg = self.campaign
         rng = self._rngs[node]
         streams = rng.spawn(4)
-        # Corruptor RNG spawned only when a fault profile is installed —
-        # the same conditional spawn ManagedSystem performs, so clean
-        # fleets consume the identical seed sequence.
+        # Corruptor RNG spawned only when a fault profile is installed, so
+        # clean fleets consume the identical seed sequence.
         self._corruptors[node] = (
             self.fault_profile.stream(rng.spawn(1)[0], horizon=self._horizon)
             if self.fault_profile is not None
@@ -549,17 +534,17 @@ class SyntheticFleetSource(FleetSource):
 class FleetStream:
     """Struct-of-arrays sanitize+aggregate state for N node streams.
 
-    Bit-identical to N independent ``StreamSanitizer`` +
-    ``OnlineAggregator(window_seconds, policy="repair")`` pairs (the
-    scalar oracle, pinned by tests): same drop rules, same clock-reset
-    rebase arithmetic, same repair-mode bounded reordering, same
-    ``np.add.reduceat`` sequential segment sums at finalize. A batch may
+    Bit-identical to N independent per-row sanitizer + repair-mode
+    streaming aggregator pairs (the scalar references, pinned by tests):
+    same drop rules, same clock-reset rebase arithmetic, same repair-mode
+    bounded reordering, same ``np.add.reduceat`` sequential segment sums
+    at finalize. A batch may
     contain several rows for one node (duplication faults): it is split
     into rounds of unique node ids so sequential per-node semantics are
     preserved while each round stays fully vectorized.
     """
 
-    _RING = 32  # matches StreamSanitizer's last-32-interval median window
+    _RING = 32  # the sanitizer's last-32-interval median window
 
     def __init__(
         self,
@@ -581,15 +566,17 @@ class FleetStream:
         self.min_points = min_points
         self._cfg = sanitize_config or SanitizeConfig()
         n = n_nodes
-        # sanitizer state (mirrors StreamSanitizer attributes)
+        # sanitizer state
         self._offset = np.zeros(n, dtype=np.float64)
         self._smax = np.zeros(n, dtype=np.float64)
         self._ring = np.zeros((n, self._RING), dtype=np.float64)
         self._rlen = np.zeros(n, dtype=np.int64)
         self._rpos = np.zeros(n, dtype=np.int64)
-        self._dropped = np.zeros(n, dtype=np.int64)
-        self._resets = np.zeros(n, dtype=np.int64)
-        # aggregator state (mirrors OnlineAggregator attributes)
+        # data-quality tallies over all nodes (they survive reset_node)
+        self._dropped = 0
+        self._resets = 0
+        self._late = 0
+        # aggregator state
         self._cap = int(row_capacity)
         self._wbuf = np.zeros((n, self._cap, _N_RAW), dtype=np.float64)
         self._wcount = np.zeros(n, dtype=np.int64)
@@ -598,25 +585,23 @@ class FleetStream:
         self._last_tgen = np.zeros(n, dtype=np.float64)
         self._anchor = np.zeros(n, dtype=np.float64)
         self._unsorted = np.zeros(n, dtype=bool)
-        self._late = np.zeros(n, dtype=np.int64)
 
     @property
     def dropped_total(self) -> int:
-        return int(self._dropped.sum())
+        return self._dropped
 
     @property
     def late_dropped(self) -> int:
-        return int(self._late.sum())
+        return self._late
 
     @property
     def resets_total(self) -> int:
-        return int(self._resets.sum())
+        return self._resets
 
     def reset_node(self, i: int) -> None:
         """Forget one node's stream state (after a restart).
 
-        Cumulative data-quality counters survive, exactly like
-        ``StreamSanitizer.reset`` / ``OnlineAggregator.reset``.
+        Cumulative data-quality counters survive the restart.
         """
         self._offset[i] = 0.0
         self._smax[i] = 0.0
@@ -681,12 +666,12 @@ class FleetStream:
         for i, raw in zip(ids, rows):
             arr = np.asarray(raw, dtype=np.float64)
             if arr.shape != (_N_RAW,):
-                self._dropped[i] += 1
                 nbad += 1
                 continue
             gids.append(int(i))
             good.append(arr)
         if nbad:
+            self._dropped += nbad
             get_metrics().inc("sanitize.stream_dropped_total", float(nbad))
         if not good:
             return np.empty(0, dtype=np.int64), np.empty((0, _N_RAW))
@@ -700,9 +685,9 @@ class FleetStream:
         # passes the whole-matrix test and skips the per-row mask and copy.
         if not (np.isfinite(X).all() and (X[:, 0] >= 0).all()):
             ok = np.isfinite(X).all(axis=1) & (X[:, 0] >= 0)
-            bad = ids[~ok]
-            self._dropped[bad] += 1
-            metrics.inc("sanitize.stream_dropped_total", float(bad.size))
+            nbad = int(ids.size - ok.sum())
+            self._dropped += nbad
+            metrics.inc("sanitize.stream_dropped_total", float(nbad))
             ids, X = ids[ok], X[ok]
             if not ids.size:
                 return _no_windows()
@@ -722,9 +707,9 @@ class FleetStream:
                 self._offset[i] += smax[k] + med - tgen[k]
                 offset[k] = self._offset[i]
                 tgen[k] = X[k, 0] + offset[k]
-                self._resets[i] += 1
                 n_resets += 1
         if n_resets:
+            self._resets += n_resets
             metrics.inc("sanitize.stream_resets_total", float(n_resets))
         # -- interval ring (median tracker) + monotone max advance
         adv = tgen > smax
@@ -750,9 +735,10 @@ class FleetStream:
         any_late = bool(late.any())
         if any_late:
             drop_late = late & (~has_bin | (nbin < cur_bin))
-            if drop_late.any():
-                self._late[ids[drop_late]] += 1
-                metrics.inc("sanitize.online_late_dropped", float(drop_late.sum()))
+            n_late = int(drop_late.sum())
+            if n_late:
+                self._late += n_late
+                metrics.inc("sanitize.online_late_dropped", float(n_late))
             ins_late = late & ~drop_late
             in_order = ~late
             fin = in_order & has_bin & (nbin != cur_bin)
@@ -835,80 +821,12 @@ class FleetStream:
 # -- control planes ---------------------------------------------------------------
 
 
-class _ScalarPlane:
-    """Per-node-object control plane: the oracle the batched plane matches."""
-
-    def __init__(self, n, window_seconds, sanitize_config, policy) -> None:
-        from repro.core.sanitize import StreamSanitizer
-
-        self._san = [StreamSanitizer(sanitize_config) for _ in range(n)]
-        self._agg = [
-            OnlineAggregator(window_seconds, policy="repair") for _ in range(n)
-        ]
-        self._pol = [policy.clone() for _ in range(n)]
-
-    def reset_node(self, i: int) -> None:
-        self._san[i].reset()
-        self._agg[i].reset()
-        self._pol[i].reset()
-
-    def ingest(self, ids, rows) -> tuple[np.ndarray, np.ndarray]:
-        out: dict[int, np.ndarray] = {}
-        for i, raw in zip(ids, rows):
-            i = int(i)
-            decision = self._san[i].process(raw)
-            if decision.row is None:
-                continue
-            window = self._agg[i].add(decision.row)
-            if window is not None:
-                out[i] = window
-        if not out:
-            return _no_windows()
-        done = np.asarray(sorted(out), dtype=np.int64)
-        return done, np.vstack([out[i] for i in done.tolist()])
-
-    def consult(self, ids, X, ages):
-        n = ids.size
-        trig = np.zeros(n, dtype=bool)
-        preds = np.full(n, np.nan)
-        lbs = np.full(n, np.nan)
-        for k in range(n):
-            pol = self._pol[int(ids[k])]
-            trig[k] = pol.should_rejuvenate(X[k], run_age=float(ages[k]))
-            pred = getattr(pol, "last_prediction", None)
-            if pred is not None:
-                preds[k] = pred
-            lb = getattr(pol, "last_lower_bound", None)
-            if lb is not None:
-                lbs[k] = lb
-        return trig, preds, lbs
-
-    def time_triggers(self, ids, ages):
-        return np.fromiter(
-            (
-                self._pol[int(i)].time_trigger(float(a))
-                for i, a in zip(ids, ages)
-            ),
-            dtype=bool,
-            count=ids.size,
-        )
-
-    def last_prediction(self, i: int) -> "float | None":
-        return getattr(self._pol[int(i)], "last_prediction", None)
-
-    def predicted_failures(self, ids, horizon_s: float) -> int:
-        n = 0
-        for i in ids:
-            pred = getattr(self._pol[int(i)], "last_prediction", None)
-            if pred is not None and pred < horizon_s:
-                n += 1
-        return n
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "stream_dropped": sum(s.dropped_total for s in self._san),
-            "late_dropped": sum(a.late_dropped for a in self._agg),
-        }
+#: The policies the batched plane vectorizes, by the kind it runs them as.
+_POLICY_KINDS = {
+    NoRejuvenation: "none",
+    PeriodicRejuvenation: "periodic",
+    PredictiveRejuvenation: "predictive",
+}
 
 
 class _BatchedPlane:
@@ -922,18 +840,7 @@ class _BatchedPlane:
         self._streak = np.zeros(n, dtype=np.int64)
         self._pred = np.full(n, np.nan)
         self._lb = np.full(n, np.nan)
-        if isinstance(policy, PredictiveRejuvenation):
-            self._kind = "predictive"
-        elif isinstance(policy, PeriodicRejuvenation):
-            self._kind = "periodic"
-        elif isinstance(policy, NoRejuvenation):
-            self._kind = "none"
-        else:
-            raise ValueError(
-                f"the batched engine vectorizes the built-in policies only, "
-                f"got {type(policy).__name__}; use FleetConfig(engine='scalar') "
-                f"for custom policies"
-            )
+        self._kind = _POLICY_KINDS[type(policy)]
         # The serving model: exact scoring uses the policy model object
         # itself (preserving the batched == scalar bit-identity
         # contract); compiled scoring serves through the compiled
@@ -1014,6 +921,10 @@ class FleetController:
     held one) with **one** batched model call, and then arbitrates
     restarts: planned restarts are granted in node order while the live
     fraction stays above ``capacity_floor``; crashes are immediate.
+
+    The policy must be a ``NoRejuvenation``, ``PeriodicRejuvenation`` or
+    ``PredictiveRejuvenation`` (subclasses excluded: the batched plane
+    vectorizes these three decision rules, not overridden methods).
     """
 
     def __init__(
@@ -1024,6 +935,11 @@ class FleetController:
         fleet: "FleetConfig | None" = None,
         sanitize_config=None,
     ) -> None:
+        if type(policy) not in _POLICY_KINDS:
+            raise ValueError(
+                "the fleet controller runs NoRejuvenation, PeriodicRejuvenation "
+                f"and PredictiveRejuvenation only, got {type(policy).__name__}"
+            )
         self.source = source
         self.managed = managed
         self.policy = policy
@@ -1032,12 +948,15 @@ class FleetController:
 
     def run(self, seed: "int | None | np.random.Generator" = None) -> FleetRunLog:
         """Simulate the fleet for the configured horizon."""
+        return self._run_nodes(list(as_rng(seed).spawn(self.fleet.n_nodes)))
+
+    def _run_nodes(self, rngs: list) -> FleetRunLog:
+        """Simulate the fleet with node ``i`` driven by ``rngs[i]``."""
         fcfg, mcfg = self.fleet, self.managed
         run_span = span(
             "fleet.run",
             policy=self.policy.name,
             n_nodes=fcfg.n_nodes,
-            engine=fcfg.engine,
             scoring=fcfg.scoring,
             horizon_s=mcfg.horizon_seconds,
         ).__enter__()
@@ -1050,7 +969,7 @@ class FleetController:
             ],
         )
         try:
-            return self._run(fcfg, mcfg, log, seed)
+            return self._run(fcfg, mcfg, log, rngs)
         finally:
             run_span.set(
                 episodes=log.n_episodes,
@@ -1060,29 +979,22 @@ class FleetController:
                 min_live_fraction=log.min_live_fraction,
             ).__exit__()
 
-    def _run(self, fcfg, mcfg, log, seed) -> FleetRunLog:
+    def _run(self, fcfg, mcfg, log, rngs) -> FleetRunLog:
         from repro.obs import get_telemetry
         from repro.obs.profile import get_profiler
 
         n = fcfg.n_nodes
-        rng = as_rng(seed)
-        rngs = list(rng.spawn(n))
         self.source.bind(rngs, mcfg.horizon_seconds)
         dt = self.source.dt
         horizon = mcfg.horizon_seconds
         staleness = mcfg.resolved_staleness_timeout
-        if fcfg.engine == "batched":
-            plane = _BatchedPlane(
-                n,
-                mcfg.window_seconds,
-                self.sanitize_config,
-                self.policy,
-                scoring=fcfg.scoring,
-            )
-        else:
-            plane = _ScalarPlane(
-                n, mcfg.window_seconds, self.sanitize_config, self.policy
-            )
+        plane = _BatchedPlane(
+            n,
+            mcfg.window_seconds,
+            self.sanitize_config,
+            self.policy,
+            scoring=fcfg.scoring,
+        )
         bus = get_telemetry()
         metrics = get_metrics()
         profiler = get_profiler()
@@ -1112,19 +1024,22 @@ class FleetController:
 
         def end_episode(i: int, outcome: str) -> None:
             nl = log.node_logs[i]
-            uptime = min(nows[i], horizon - walls[i])
+            # Python floats, as the log's fields are typed: numpy scalars
+            # would leak into reports and reprs of the run.
+            uptime = float(min(nows[i], horizon - walls[i]))
+            start = float(ep_start[i])
             nl.total_uptime += uptime
             walls[i] += uptime
             predicted = ep_pred[i] if outcome == "rejuvenation" else None
+            end_t = start + uptime
             nl.episodes.append(
                 Episode(
-                    start=ep_start[i],
-                    end=ep_start[i] + uptime,
+                    start=start,
+                    end=end_t,
                     outcome=outcome,
                     predicted_rttf=predicted,
                 )
             )
-            end_t = ep_start[i] + uptime
             if outcome == "crash" and pred_count[i]:
                 recs = pred_log[i, : pred_count[i]]
                 errors = recs[:, 2] - (nows[i] - recs[:, 1])
@@ -1151,7 +1066,7 @@ class FleetController:
                 if outcome == "rejuvenation"
                 else mcfg.crash_downtime
             )
-            downtime = min(downtime, horizon - walls[i])
+            downtime = float(min(downtime, horizon - walls[i]))
             nl.total_downtime += downtime
             walls[i] += downtime
             if walls[i] >= horizon:
@@ -1308,6 +1223,13 @@ class FleetController:
                     t,
                     float(plane.predicted_failures(live_now, 3600.0)),
                 )
+                # Cumulative, so the drop row stays live while the
+                # sanitizer drops every sample and no window completes.
+                bus.emit(
+                    "sanitize.dropped_total",
+                    t,
+                    float(plane.stats()["stream_dropped"]),
+                )
             t += dt
             it += 1
 
@@ -1319,7 +1241,6 @@ class FleetController:
             kv(
                 policy=self.policy.name,
                 nodes=n,
-                engine=fcfg.engine,
                 scoring=fcfg.scoring,
                 episodes=log.n_episodes,
                 crashes=log.n_crashes,

@@ -7,7 +7,6 @@ current run age; it answers whether to rejuvenate *now*.
 
 from __future__ import annotations
 
-import copy
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -43,17 +42,6 @@ class RejuvenationPolicy(ABC):
 
     def reset(self) -> None:
         """Called after every restart (planned or crash)."""
-
-    def clone(self) -> "RejuvenationPolicy":
-        """Fresh-state copy for per-node fleet use.
-
-        The copy is shallow — heavyweight immutable collaborators (the
-        fitted model) are shared — but decision state is reset, so clones
-        of one prototype drive independent nodes.
-        """
-        twin = copy.copy(self)
-        twin.reset()
-        return twin
 
     @property
     def name(self) -> str:

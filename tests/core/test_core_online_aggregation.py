@@ -1,10 +1,12 @@
-"""Tests for the streaming aggregator (repro.core.aggregation.OnlineAggregator)."""
+"""Tests for the streaming aggregator (``OnlineAggregator``, the scalar
+reference ``FleetStream`` is pinned to; see ``control_reference.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.core.aggregation import AggregationConfig, OnlineAggregator, aggregate_run
+from repro.core.aggregation import AggregationConfig, aggregate_run
 from repro.core.datapoint import AGGREGATED_FEATURES, FEATURES
+from tests.rejuvenation.control_reference import OnlineAggregator
 
 
 class TestOnlineAggregator:

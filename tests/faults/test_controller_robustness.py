@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.sanitize import SanitizeConfig, StreamSanitizer
+from repro.core.sanitize import SanitizeConfig
 from repro.faults import FaultProfile
 from repro.obs import get_metrics
 from repro.rejuvenation import (
@@ -19,6 +19,7 @@ from repro.rejuvenation import (
     PeriodicRejuvenation,
 )
 from tests.conftest import small_campaign
+from tests.rejuvenation.control_reference import StreamSanitizer
 
 
 def managed_config(**kwargs):
@@ -98,7 +99,7 @@ class TestFaultedRuns:
         ).run(seed=1)
         assert log.episodes
         holds = get_metrics().snapshot()["counters"].get(
-            "sanitize.stale_policy_holds_total", 0
+            "fleet.stale_holds_total", 0
         )
         assert holds >= 1
 

@@ -11,11 +11,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aggregation import AggregationConfig, OnlineAggregator, aggregate_run
+from repro.core.aggregation import AggregationConfig, aggregate_run
 from repro.core.datapoint import FEATURES
 from repro.core.history import RunRecord
 from repro.core.sanitize import sanitize_run
 from repro.faults import CORRUPTION_MODELS, DirtyRun, FaultProfile
+from tests.rejuvenation.control_reference import OnlineAggregator
 
 N_F = len(FEATURES)
 

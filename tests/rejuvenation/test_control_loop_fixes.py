@@ -1,12 +1,12 @@
 """Regressions for the control-loop bug sweep.
 
 Four defects surfaced while generalizing the single-node loop to the
-fleet controller; each gets a pinned regression here:
+fleet controller; each gets a pinned regression here, run through
+``ManagedSystem`` (a fleet of one):
 
-1. predictions made while holding a stale window were never recorded in
-   ``pending_predictions``, so the truth series (``controller.actual_rttf``
-   / ``controller.rttf_error``) silently skipped exactly the stretches
-   where the controller flew on held data;
+1. predictions made while holding a stale window were never recorded
+   for the truth series (``fleet.rttf_error``), which then silently
+   skipped exactly the stretches where the controller flew on held data;
 2. purely time-based policies were only consulted on window completion,
    so total monitor dropout starved ``PeriodicRejuvenation`` forever;
 3. ``sanitize.dropped_total`` was emitted only on window completion —
@@ -33,6 +33,7 @@ from repro.rejuvenation import (
     RejuvenationPolicy,
 )
 from tests.conftest import small_campaign
+from tests.rejuvenation.control_reference import clone
 
 
 def managed_config(**kwargs):
@@ -56,6 +57,38 @@ def series_points(snap, name):
     return s["points"]
 
 
+class RecordingModel:
+    """Pass-through model that logs each scored row's window mean tgen
+    (episode-local time), in call order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.t_means = []
+
+    def predict(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        self.t_means.extend(X[:, 0].tolist())
+        return self.inner.predict(X)
+
+
+def predictions_per_episode(t_means):
+    """Prediction counts per episode, in episode order.
+
+    Episode-local time restarts at every reboot, so a new episode's first
+    window mean drops below the last one scored; a held consult rescores
+    the last window, whose mean does not drop. An episode that ends
+    before its first window completes has no group.
+    """
+    counts = []
+    last = np.inf
+    for t_mean in t_means:
+        if t_mean < last:
+            counts.append(0)
+        counts[-1] += 1
+        last = t_mean
+    return counts
+
+
 class TestStaleHoldPredictionsRecorded:
     def test_truth_series_covers_held_predictions(self):
         # nan=0.25 drops ~98% of rows: after the first window completes,
@@ -64,32 +97,32 @@ class TestStaleHoldPredictionsRecorded:
         # episode ends in crash or at the horizon — and for the crash
         # episodes, EVERY prediction must get a matching truth point.
         obs.reset()
+        model = RecordingModel(constant_model(1e6))
         log = ManagedSystem(
             small_campaign(n_runs=2),
             managed_config(),
-            PredictiveRejuvenation(
-                constant_model(1e6), rttf_margin=1.0, consecutive=2
-            ),
+            PredictiveRejuvenation(model, rttf_margin=1.0, consecutive=2),
             fault_profile=FaultProfile.from_spec("nan=0.25"),
         ).run(seed=1)
         holds = get_metrics().snapshot()["counters"].get(
-            "sanitize.stale_policy_holds_total", 0
+            "fleet.stale_holds_total", 0
         )
         assert holds >= 1  # the stale path actually ran
         snap = get_telemetry().snapshot()
-        predicted_ts = [t for t, _ in series_points(snap, "controller.predicted_rttf")]
-        error_ts = [t for t, _ in series_points(snap, "controller.rttf_error")]
-        crash_spans = [
-            (e.start, e.end) for e in log.episodes if e.outcome == "crash"
+        error_ts = [t for t, _ in series_points(snap, "fleet.rttf_error")]
+        counts = predictions_per_episode(model.t_means)
+        assert len(counts) == len(log.episodes)  # no episode went unscored
+        crashed = [
+            (e, n) for e, n in zip(log.episodes, counts) if e.outcome == "crash"
         ]
-        assert crash_spans
-        expected = sorted(
-            t for t in predicted_ts if any(s < t <= e for s, e in crash_spans)
-        )
-        # Pre-fix, held consults emitted a prediction but no truth: the
-        # error series missed most of these timestamps.
-        assert sorted(error_ts) == expected
-        assert len(expected) >= holds  # held consults are the bulk here
+        assert crashed
+        # Pre-fix, held consults made a prediction but no truth point: the
+        # error series missed most of each crashed episode's predictions.
+        expected = [n for _, n in crashed]
+        got = [sum(e.start < t <= e.end for t in error_ts) for e, _ in crashed]
+        assert got == expected
+        assert len(error_ts) == sum(expected)
+        assert sum(expected) >= holds  # held consults are the bulk here
 
 
 class TestTimeTriggerIndependentOfStream:
@@ -121,6 +154,9 @@ class TestTimeTriggerIndependentOfStream:
 
 
 class TestDroppedTotalEmittedPerSample:
+    """The drop series is emitted on the fleet's telemetry stride, not
+    on window completion."""
+
     def test_series_present_with_zero_windows(self):
         obs.reset()
         ManagedSystem(
@@ -190,7 +226,7 @@ class TestPolicyClone:
         pol = PredictiveRejuvenation(model, rttf_margin=100.0, consecutive=3)
         pol.should_rejuvenate(np.zeros(30), run_age=5.0)
         assert pol._streak == 1
-        twin = pol.clone()
+        twin = clone(pol)
         assert twin.model is model  # heavyweight collaborator shared
         assert twin._streak == 0 and twin.last_prediction is None
         assert pol._streak == 1  # prototype untouched
@@ -200,6 +236,6 @@ class TestPolicyClone:
         pol = PredictiveRejuvenation(
             constant_model(10.0), rttf_margin=100.0, consecutive=2
         )
-        a, b = pol.clone(), pol.clone()
+        a, b = clone(pol), clone(pol)
         a.should_rejuvenate(np.zeros(30), run_age=1.0)
         assert a._streak == 1 and b._streak == 0

@@ -3,26 +3,30 @@
 Two contracts anchor the fleet layer, both bit-exact (the same standard
 the ``fused`` substrate holds against the legacy ``loop``):
 
-1. a fleet of one node with no floor and no drain reproduces
-   ``ManagedSystem.run`` episode-for-episode, and
-2. the batched struct-of-arrays engine is indistinguishable from the
-   per-node scalar oracle — same episodes, same predictions — across
-   seeds, policies, and faulted monitor streams.
+1. a fleet of one node with no floor and no drain — which is what
+   ``ManagedSystem`` runs — reproduces the old single-node loop
+   (``ReferenceManagedSystem``) episode-for-episode, and
+2. the batched struct-of-arrays plane is indistinguishable from the
+   per-node scalar reference plane — same episodes, same predictions —
+   across seeds, policies, and faulted monitor streams.
 
-On top: the capacity floor, drain, telemetry and the FleetStream SoA
-sanitize+aggregate plane.
+The references live in ``control_reference.py``. On top: the capacity
+floor, drain, telemetry and the FleetStream SoA sanitize+aggregate plane.
 """
 
+import contextlib
 import dataclasses
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.aggregation import OnlineAggregator
-from repro.core.sanitize import StreamSanitizer
+from repro.core import AggregationConfig, aggregate_history
 from repro.faults import FaultProfile
+from repro.ml import M5PRegressor
+from repro.ml.ensemble import BaggingRegressor
 from repro.obs import get_metrics, get_telemetry, get_tracer
+from repro.rejuvenation import fleet as fleet_module
 from repro.rejuvenation import (
     FleetConfig,
     FleetController,
@@ -42,8 +46,28 @@ from repro.system import DiurnalLoad, StepLoad
 from repro.system.failure import FailureCondition
 from repro.utils.rng import as_rng
 from tests.conftest import small_campaign
+from tests.rejuvenation.control_reference import (
+    OnlineAggregator,
+    ReferenceManagedSystem,
+    StreamSanitizer,
+    reference_plane,
+)
 
 SPEC = SyntheticFleetSpec()
+
+#: The control planes a fleet can run on: the batched plane it ships
+#: with, and the per-node scalar reference plane (installed by
+#: :func:`on_plane`).
+PLANES = ("scalar", "batched")
+
+
+@contextlib.contextmanager
+def on_plane(monkeypatch, plane):
+    """Fleets built while open score on ``plane``."""
+    with monkeypatch.context() as m:
+        if plane == "scalar":
+            m.setattr(fleet_module, "_BatchedPlane", reference_plane)
+        yield
 
 
 def managed_config(**kwargs):
@@ -98,19 +122,101 @@ ONE_NODE_INPUTS = {
 
 def one_node_cases():
     cases = [
-        pytest.param(seed, engine, None, id=f"{seed}-{engine}")
+        pytest.param(seed, plane, None, id=f"{seed}-{plane}")
         for seed in (1, 7)
-        for engine in ("batched", "scalar")
+        for plane in ("batched", "scalar")
     ]
     cases += [pytest.param(3, "batched", name, id=name) for name in ONE_NODE_INPUTS]
     return cases
 
 
-class TestFleetOfOne:
-    """Fleet-of-1 ≡ ManagedSystem, the anchor to the single-node loop."""
+@pytest.fixture(scope="module")
+def rttf_models(history):
+    """An M5P tree and a bagged ensemble trained on 20 s windows."""
+    ds = aggregate_history(history, AggregationConfig(window_seconds=20.0))
+    return {
+        "m5p": M5PRegressor().fit(ds.X, ds.y),
+        "bagged": BaggingRegressor(n_estimators=8, seed=0).fit(ds.X, ds.y),
+    }
 
-    @pytest.mark.parametrize("seed, engine, inputs", one_node_cases())
-    def test_matches_managed_system(self, seed, engine, inputs):
+
+def m5p_policy(models):
+    return PredictiveRejuvenation(models["m5p"], rttf_margin=150.0)
+
+
+#: ManagedSystem ≡ ReferenceManagedSystem inputs: name -> (policy factory,
+#: campaign overrides, managed-config overrides, failure condition, fault
+#: spec). The off-grid downtimes and horizon are not multiples of the
+#: tick; the step load gives that case both crashes and restarts.
+REFERENCE_INPUTS = {
+    "none": (lambda m: NoRejuvenation(), {}, {}, None, None),
+    "periodic": (lambda m: PeriodicRejuvenation(400.0), {}, {}, None, None),
+    "predictive-m5p": (m5p_policy, {}, {}, None, None),
+    "predictive-bagged-lower-bound": (
+        lambda m: PredictiveRejuvenation(
+            m["bagged"], rttf_margin=150.0, lower_bound_quantile=0.1
+        ),
+        {},
+        {},
+        None,
+        None,
+    ),
+    "nan-0.25": (m5p_policy, {}, {}, None, "nan=0.25"),
+    "nan-1.0": (lambda m: PeriodicRejuvenation(400.0), {}, {}, None, "nan=1.0"),
+    "mixed-faults": (
+        lambda m: PeriodicRejuvenation(400.0),
+        {},
+        {},
+        None,
+        "nan=0.1,ooo=0.1,dup=0.05",
+    ),
+    "off-grid": (
+        lambda m: PeriodicRejuvenation(400.0),
+        {**FAST_LEAK, "load_schedule": STEP_LOAD},
+        dict(
+            rejuvenation_downtime=17.3,
+            crash_downtime=123.7,
+            horizon_seconds=3001.7,
+        ),
+        None,
+        None,
+    ),
+    "step-load": (
+        lambda m: PeriodicRejuvenation(400.0),
+        {**FAST_LEAK, "load_schedule": STEP_LOAD},
+        {},
+        None,
+        None,
+    ),
+    "diurnal-load": (
+        lambda m: PeriodicRejuvenation(400.0),
+        {**FAST_LEAK, "load_schedule": DiurnalLoad(period=900.0)},
+        {},
+        None,
+        None,
+    ),
+    "half-swap-exhaustion": (
+        lambda m: NoRejuvenation(),
+        {},
+        {},
+        HalfSwapExhaustion(),
+        None,
+    ),
+    "loop-substrate": (
+        lambda m: PeriodicRejuvenation(400.0),
+        {**FAST_LEAK, "load_schedule": STEP_LOAD, "substrate": "loop"},
+        {},
+        None,
+        None,
+    ),
+}
+
+
+class TestFleetOfOne:
+    """Fleet-of-1 ≡ ManagedSystem ≡ the old single-node loop."""
+
+    @pytest.mark.parametrize("seed, plane, inputs", one_node_cases())
+    def test_matches_managed_system(self, seed, plane, inputs, monkeypatch):
         campaign = small_campaign(n_runs=2)
         condition = None
         if inputs is not None:
@@ -118,24 +224,36 @@ class TestFleetOfOne:
             campaign = dataclasses.replace(campaign, **overrides)
         mcfg = managed_config(horizon_seconds=4000.0)
         # The fleet spawns one child stream off the root seed; hand the
-        # same child to ManagedSystem so both runs draw identical bits.
-        ms = ManagedSystem(
+        # same child to the single-node runs so all three draw identical
+        # bits.
+        ref = ReferenceManagedSystem(
             campaign, mcfg, PeriodicRejuvenation(400.0), failure_condition=condition
         ).run(seed=as_rng(seed).spawn(1)[0])
-        fl = FleetController(
-            SimulatedFleetSource(campaign, failure_condition=condition),
-            mcfg,
-            PeriodicRejuvenation(400.0),
-            FleetConfig(n_nodes=1, engine=engine),
-        ).run(seed=seed)
-        assert episode_key(fl.node_logs[0]) == episode_key(ms)
-        assert fl.node_logs[0].total_uptime == ms.total_uptime
-        assert fl.node_logs[0].total_downtime == ms.total_downtime
+        with on_plane(monkeypatch, plane):
+            ms = ManagedSystem(
+                campaign,
+                mcfg,
+                PeriodicRejuvenation(400.0),
+                failure_condition=condition,
+            ).run(seed=as_rng(seed).spawn(1)[0])
+            fl = FleetController(
+                SimulatedFleetSource(campaign, failure_condition=condition),
+                mcfg,
+                PeriodicRejuvenation(400.0),
+                FleetConfig(n_nodes=1),
+            ).run(seed=seed)
+        for log in (ms, fl.node_logs[0]):
+            assert episode_key(log) == episode_key(ref)
+            assert log.total_uptime == ref.total_uptime
+            assert log.total_downtime == ref.total_downtime
 
     def test_matches_managed_system_under_faults(self):
         campaign = small_campaign(n_runs=2)
         mcfg = managed_config(horizon_seconds=4000.0)
         profile = FaultProfile.from_spec("nan=0.1,ooo=0.1,dup=0.05")
+        ref = ReferenceManagedSystem(
+            campaign, mcfg, PeriodicRejuvenation(400.0), fault_profile=profile
+        ).run(seed=as_rng(9).spawn(1)[0])
         ms = ManagedSystem(
             campaign, mcfg, PeriodicRejuvenation(400.0), fault_profile=profile
         ).run(seed=as_rng(9).spawn(1)[0])
@@ -143,55 +261,80 @@ class TestFleetOfOne:
             SimulatedFleetSource(campaign, fault_profile=profile),
             mcfg,
             PeriodicRejuvenation(400.0),
-            FleetConfig(n_nodes=1, engine="batched"),
+            FleetConfig(n_nodes=1),
         ).run(seed=9)
-        assert episode_key(fl.node_logs[0]) == episode_key(ms)
+        assert episode_key(ms) == episode_key(ref)
+        assert episode_key(fl.node_logs[0]) == episode_key(ref)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("inputs", sorted(REFERENCE_INPUTS))
+    def test_managed_system_matches_reference(self, inputs, seed, rttf_models):
+        policy, overrides, managed, condition, faults = REFERENCE_INPUTS[inputs]
+        campaign = dataclasses.replace(small_campaign(n_runs=2), **overrides)
+        mcfg = managed_config(**{"horizon_seconds": 2500.0, **managed})
+        logs = [
+            system(
+                campaign,
+                mcfg,
+                policy(rttf_models),
+                failure_condition=condition,
+                fault_profile=faults and FaultProfile.from_spec(faults),
+            ).run(seed=seed)
+            for system in (ReferenceManagedSystem, ManagedSystem)
+        ]
+        ref, ms = logs
+        assert episode_key(ms) == episode_key(ref)
+        assert ms.total_uptime == ref.total_uptime
+        assert ms.total_downtime == ref.total_downtime
+        total = ref.total_uptime + ref.total_downtime
+        assert total == pytest.approx(mcfg.horizon_seconds)
 
 
 class TestBatchedVsScalar:
-    """The batched SoA engine against the per-node scalar oracle."""
+    """The batched SoA plane against the per-node scalar reference plane."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_synthetic_predictive(self, seed):
+    def test_synthetic_predictive(self, seed, monkeypatch):
         logs = {}
-        for engine in ("scalar", "batched"):
-            logs[engine] = FleetController(
-                SyntheticFleetSource(SPEC),
-                managed_config(),
-                predictive(),
-                FleetConfig(n_nodes=25, engine=engine),
-            ).run(seed=seed)
+        for plane in PLANES:
+            with on_plane(monkeypatch, plane):
+                logs[plane] = FleetController(
+                    SyntheticFleetSource(SPEC),
+                    managed_config(),
+                    predictive(),
+                    FleetConfig(n_nodes=25),
+                ).run(seed=seed)
         assert fleet_key(logs["scalar"]) == fleet_key(logs["batched"])
         assert logs["batched"].n_episodes > 25  # nodes actually cycled
 
-    def test_synthetic_crash_only(self):
+    def test_synthetic_crash_only(self, monkeypatch):
         logs = {}
-        for engine in ("scalar", "batched"):
-            logs[engine] = FleetController(
-                SyntheticFleetSource(SPEC),
-                managed_config(),
-                NoRejuvenation(),
-                FleetConfig(n_nodes=10, engine=engine),
-            ).run(seed=5)
+        for plane in PLANES:
+            with on_plane(monkeypatch, plane):
+                logs[plane] = FleetController(
+                    SyntheticFleetSource(SPEC),
+                    managed_config(),
+                    NoRejuvenation(),
+                    FleetConfig(n_nodes=10),
+                ).run(seed=5)
         assert fleet_key(logs["scalar"]) == fleet_key(logs["batched"])
         assert logs["batched"].n_crashes > 0
 
-    def test_simulated_faulted_stream(self):
+    def test_simulated_faulted_stream(self, monkeypatch):
         campaign = small_campaign(n_runs=2)
         profile = FaultProfile.from_spec("nan=0.1,ooo=0.1,dup=0.05")
         logs = {}
-        for engine in ("scalar", "batched"):
-            logs[engine] = FleetController(
-                SimulatedFleetSource(campaign, fault_profile=profile),
-                managed_config(horizon_seconds=4000.0),
-                PeriodicRejuvenation(400.0),
-                FleetConfig(n_nodes=4, engine=engine),
-            ).run(seed=11)
+        for plane in PLANES:
+            with on_plane(monkeypatch, plane):
+                logs[plane] = FleetController(
+                    SimulatedFleetSource(campaign, fault_profile=profile),
+                    managed_config(horizon_seconds=4000.0),
+                    PeriodicRejuvenation(400.0),
+                    FleetConfig(n_nodes=4),
+                ).run(seed=11)
         assert fleet_key(logs["scalar"]) == fleet_key(logs["batched"])
 
-    def test_lower_bound_quantile(self):
-        from repro.ml.ensemble import BaggingRegressor
-
+    def test_lower_bound_quantile(self, monkeypatch):
         rng = np.random.default_rng(0)
         n = 400
         X = rng.normal(size=(n, 30))
@@ -201,16 +344,17 @@ class TestBatchedVsScalar:
         y += rng.normal(0, 30.0, size=n)
         bag = BaggingRegressor(n_estimators=8, seed=0).fit(X, y)
         logs = {}
-        for engine in ("scalar", "batched"):
+        for plane in PLANES:
             pol = PredictiveRejuvenation(
                 bag, rttf_margin=150.0, lower_bound_quantile=0.1
             )
-            logs[engine] = FleetController(
-                SyntheticFleetSource(SPEC),
-                managed_config(),
-                pol,
-                FleetConfig(n_nodes=12, engine=engine),
-            ).run(seed=6)
+            with on_plane(monkeypatch, plane):
+                logs[plane] = FleetController(
+                    SyntheticFleetSource(SPEC),
+                    managed_config(),
+                    pol,
+                    FleetConfig(n_nodes=12),
+                ).run(seed=6)
         assert fleet_key(logs["scalar"]) == fleet_key(logs["batched"])
         assert logs["batched"].n_rejuvenations > 0
 
@@ -221,12 +365,12 @@ class TestBatchedVsScalar:
             def should_rejuvenate(self, window_row, run_age):
                 return False
 
-        with pytest.raises(ValueError, match="scalar"):
+        with pytest.raises(ValueError, match="got Custom$"):
             FleetController(
                 SyntheticFleetSource(SPEC),
                 managed_config(),
                 Custom(),
-                FleetConfig(n_nodes=2, engine="batched"),
+                FleetConfig(n_nodes=2),
             ).run(seed=0)
 
 
@@ -408,7 +552,7 @@ class NodeTaggedSource(SyntheticFleetSource):
 class RecordingModel:
     """Pass-through model that logs ``(node, window mean tgen, prediction)``
     per scored row, in call order. Rows of every third node predict NaN,
-    which no engine may record as a prediction."""
+    which no plane may record as a prediction."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -448,25 +592,28 @@ def predictions_in_crashed_episodes(log, rows):
 
 
 class TestRttfErrorSeries:
-    def test_batched_matches_scalar_and_counts_crashed_predictions(self):
+    def test_batched_matches_scalar_and_counts_crashed_predictions(
+        self, monkeypatch
+    ):
         # A 40 s margin lets fast-leaking nodes crash before two
         # sub-margin windows arrive, while slow leakers still restart.
         series, logs = {}, {}
-        for engine in ("scalar", "batched"):
+        for plane in PLANES:
             obs.reset()
             model = RecordingModel(SPEC.linear_model())
-            log = FleetController(
-                NodeTaggedSource(SPEC),
-                managed_config(),
-                PredictiveRejuvenation(model, rttf_margin=40.0),
-                FleetConfig(n_nodes=8, engine=engine),
-            ).run(seed=2)
+            with on_plane(monkeypatch, plane):
+                log = FleetController(
+                    NodeTaggedSource(SPEC),
+                    managed_config(),
+                    PredictiveRejuvenation(model, rttf_margin=40.0),
+                    FleetConfig(n_nodes=8),
+                ).run(seed=2)
             s = get_telemetry().snapshot()["series"]["fleet.rttf_error"]
             assert s["stride"] == 1, "test scenario overflowed the series ring"
             points = np.asarray(s["points"], dtype=np.float64)
             assert len(points) == s["total"]
             assert len(points) == predictions_in_crashed_episodes(log, model.rows)
-            series[engine], logs[engine] = points, log
+            series[plane], logs[plane] = points, log
         assert fleet_key(logs["scalar"]) == fleet_key(logs["batched"])
         assert logs["batched"].n_crashes > 0
         assert logs["batched"].n_rejuvenations > 0
@@ -616,8 +763,6 @@ class TestValidation:
             FleetConfig(capacity_floor=1.0)
         with pytest.raises(ValueError, match="drain_seconds"):
             FleetConfig(drain_seconds=-1.0)
-        with pytest.raises(ValueError, match="engine"):
-            FleetConfig(engine="gpu")
 
     def test_determinism(self):
         a = FleetController(

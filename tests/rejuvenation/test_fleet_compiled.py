@@ -46,7 +46,7 @@ def run_fleet(policy, scoring, seed=3, n_nodes=8, horizon=1500.0):
         SyntheticFleetSource(SPEC),
         ManagedSystemConfig(horizon_seconds=horizon, window_seconds=20.0),
         policy,
-        FleetConfig(n_nodes=n_nodes, engine="batched", scoring=scoring),
+        FleetConfig(n_nodes=n_nodes, scoring=scoring),
     )
     return controller.run(seed=seed)
 
@@ -73,10 +73,6 @@ class TestConfigValidation:
     def test_unknown_scoring_rejected(self):
         with pytest.raises(ValueError, match="scoring"):
             FleetConfig(scoring="fast")
-
-    def test_compiled_requires_batched_engine(self):
-        with pytest.raises(ValueError, match="batched"):
-            FleetConfig(scoring="compiled", engine="scalar")
 
 
 class TestPassthroughParity:

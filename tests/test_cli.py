@@ -407,18 +407,6 @@ class TestFleet:
         assert "Fleet of 6 nodes" in out
         assert "predictive" in out
 
-    def test_scalar_engine_matches_batched(self, capsys):
-        argv = ["fleet", "--nodes", "4", "--horizon", "1500", "--seed", "3"]
-        assert main(argv + ["--engine", "batched"]) == 0
-        batched = capsys.readouterr().out
-        assert main(argv + ["--engine", "scalar"]) == 0
-        scalar = capsys.readouterr().out
-        # identical numbers; only the title names the engine
-        def strip(text):
-            return [line for line in text.splitlines() if "scoring" not in line]
-
-        assert strip(batched) == strip(scalar)
-
 
 class TestCache:
     @pytest.fixture

@@ -4,9 +4,10 @@ Every preset in :data:`repro.scenarios.SCENARIOS` must (a) resolve to a
 runnable ``CampaignConfig``, (b) simulate bit-identically under both
 substrates (via the fused engine or its declared loop-fallback, counted
 by ``sim.fused_fallback_total``), (c) survive the ``repro.faults``
-corruption battery in repair mode, and (d) ride a ``CampaignSpec``
+corruption battery in repair mode, (d) ride a ``CampaignSpec``
 ``scenario`` axis with a stable, golden-pinned fingerprint so cached
-cells never re-simulate.
+cells never re-simulate, and (e) reproduce its campaign run as the first
+episode of a managed controller.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ from repro.store.keys import fingerprint
 from repro.system import TestbedSimulator
 from repro.system.tpcw import SHOPPING_MIX
 from repro.obs import get_metrics
+from repro.rejuvenation import ManagedSystem, ManagedSystemConfig, NoRejuvenation
+from repro.system import CampaignConfig
+from repro.utils.rng import as_rng
 
 from tests.conftest import small_campaign
 from tests.system.test_substrate_equivalence import _records_equal, _run_both
@@ -135,6 +139,27 @@ class TestPresetBitIdentity:
         TestbedSimulator(config).run_once(13)
         after = metrics.snapshot()["counters"].get("sim.fused_fallback_total", 0)
         assert after == before
+
+
+class TestControllerFirstEpisode:
+    """A managed node boots like a campaign run: its four component
+    streams, then the injector stream when an injector is on, are the
+    streams ``run_once`` spawns, so with no policy and no faults the
+    first episode is that run, crash time and all."""
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_first_episode_is_the_campaign_run(self, name):
+        config = resolve_scenario(name, CampaignConfig(n_runs=1, seed=3))
+        record = TestbedSimulator(config).run_once(as_rng(11))
+        assert record.metadata["crashed"]
+        log = ManagedSystem(
+            config,
+            ManagedSystemConfig(horizon_seconds=record.fail_time + 1.0),
+            NoRejuvenation(),
+        ).run(seed=as_rng(11))
+        first = log.episodes[0]
+        assert first.outcome == "crash"
+        assert first.end - first.start == record.fail_time
 
 
 class TestFaultsBattery:
