@@ -21,24 +21,6 @@ class Table3Result:
     def train_time(self, name: str, feature_set: str = "all") -> float:
         return self.result.report(name, feature_set).train_time
 
-    @property
-    def svm_slowest(self) -> bool:
-        """Paper claim: SVR training dominates every other method's."""
-        svm = self.train_time("svm")
-        others = max(
-            self.train_time(n) for n in ("linear", "m5p", "reptree")
-        )
-        return svm > others
-
-    @property
-    def selection_speeds_up_training(self) -> bool:
-        """Paper claim: fewer features -> faster training, per method."""
-        names = ("linear", "m5p", "reptree", "svm", "svm2")
-        return all(
-            self.train_time(n, "selected") <= self.train_time(n, "all")
-            for n in names
-        )
-
     def table(self) -> str:
         return self.result.training_time_table()
 

@@ -20,16 +20,17 @@ The working set is chosen as in LIBSVM (WSS2, Fan, Chen & Lin, JMLR
 move up, and ``j`` maximizes the second-order objective decrease of the
 pair step among those that can move down. The analytic two-variable
 update is followed by an incremental gradient update with Q's columns
-``i`` and ``j``. Kernel columns are computed on demand through a bounded
-FIFO cache (LIBSVM's kernel cache), so memory stays
-O(cache_columns * n); Q columns are assembled from them using the block
-structure.
+``i`` and ``j``, which the solver applies to the signed gradient
+``g = -z G`` that WSS2 ranks: there Q's column ``t`` acts as kernel
+column ``t % n`` up to a sign. Kernel columns are computed on demand
+through a bounded FIFO cache (LIBSVM's kernel cache), so memory stays
+O(cache_columns * n).
 
 A fit costs its SMO iteration count times a per-iteration cost that is
 mostly vector work over the active set; kernel columns are seldom
 recomputed. On the benchmark's pinned paper corpus the all-feature fit
-(806 x 30) takes 110,754 iterations and the Lasso-selected fit (806 x 8)
-39,113, at about the same cost per iteration. So the iteration count of
+(806 x 30) takes 110,754 iterations and the Lasso-selected fit (806 x 6)
+21,808, at about the same cost per iteration. So the iteration count of
 SMO on the rank-deficient linear-kernel Gram matrix, not the feature
 count, sets both the paper's Table III gap to the other learners and
 the all/selected ratio.
@@ -109,22 +110,20 @@ class _SMOSolver:
     #: Re-examine the active set every this many inner iterations.
     SHRINK_PERIOD = 1000
 
-    def _epoch_column(
-        self, columns: dict, t: int, act_mod: np.ndarray, za: np.ndarray
-    ) -> np.ndarray:
-        """``za * K[act_mod, t]``: kernel column ``t`` signed for the active set.
+    def _epoch_put(self, cache: dict, key: int, value: np.ndarray) -> np.ndarray:
+        """Store ``value`` under ``key`` in a per-epoch cache; returns it.
 
-        ``Q[s, u] = z_s z_u K[s%n, u%n]``, so for any ``u`` with
-        ``u % n == t`` the active entries of Q's column ``u`` are
-        ``z_u * column`` — an exact sign flip the caller folds into its
-        scalar multipliers. ``columns`` lives for one epoch (the active
-        set is fixed within it) and holds at most ``max_columns``
-        entries, evicted FIFO like the kernel cache.
+        ``solve`` keeps two such caches, both over the active set: the
+        kernel columns ``K[act_mod, t]`` keyed by column ``t``, and the
+        clipped WSS2 denominators keyed by the variable they were built
+        for. Each lives for one epoch (the active set is fixed within
+        it) and holds at most ``max_columns`` entries, evicted FIFO like
+        the kernel cache.
         """
-        if len(columns) >= self.cache.max_columns:
-            columns.pop(next(iter(columns)))
-        col = columns[t] = za * self.cache.column(t)[act_mod]
-        return col
+        if len(cache) >= self.cache.max_columns:
+            cache.pop(next(iter(cache)))
+        cache[key] = value
+        return value
 
     def _full_gradient(self, a: np.ndarray) -> np.ndarray:
         """Reconstruct G = Qa + p from scratch (unshrinking step).
@@ -152,15 +151,30 @@ class _SMOSolver:
         satisfies the full-problem stopping rule (or the iteration cap).
 
         An *epoch* is the run of iterations between two shrink or
-        unshrink steps; the active set is fixed within it. The inner
-        loop keeps the ``up``/``low`` feasibility masks across
-        iterations and patches them at ``i`` and ``j`` only, takes Q's
-        columns from a per-epoch cache of signed columns with the
-        ``z_i``/``z_j`` signs folded into scalar multipliers, and does
-        the two-variable update on Python floats. None of this changes
-        the arithmetic: ``(a, rho, n_iter)`` equal, byte for byte, those
-        of a loop that rebuilds every mask and column on every iteration
-        (``docs/PERFORMANCE.md``, "SMO solver inner loop").
+        unshrink steps; the active set is fixed within it. Within an
+        epoch the loop works in gradient space. It keeps the signed
+        gradient ``g = -z G`` that WSS2 ranks as the two rows of one
+        array, masked to the up set (``-inf`` elsewhere) and to the low
+        set (``+inf`` elsewhere). Each pair step is one in-place add of
+        ``K_i * -(z_i da_i) + K_j * -(z_j da_j)`` to both rows
+        (``-z S_t`` is ``-K_t``; an infinite entry stays infinite),
+        after which entries ``i`` and ``j`` are re-patched from their
+        new ``g`` and feasibility. ``G_i`` and ``G_j`` are read back as
+        ``-z g``, and ``G`` is rebuilt from the rows when the epoch
+        ends. Per epoch it caches the unsigned active kernel columns
+        and, per variable ``i``, the clipped WSS2 denominator, both
+        FIFO-bounded by ``cache_columns`` (``_epoch_put``); the pair
+        update runs on Python floats.
+
+        None of this changes the arithmetic. Negation commutes with
+        rounding and ``+-1`` factors are exact, so ``g`` differs from a
+        rebuilt ``-z G`` at most in the sign of an exact zero. That sign
+        enters comparisons, and a pair-step numerator that is non-zero
+        whenever ``j`` is a WSS2 candidate, which ``tol > 0`` guarantees.
+        So for finite kernel values and ``tol > 0``, ``(a, rho, n_iter)``
+        equal, byte for byte, those of a loop that rebuilds ``g``, every
+        mask and every column on every iteration (``docs/PERFORMANCE.md``,
+        "SMO solver inner loop").
         """
         n = self.n
         m2 = 2 * n
@@ -171,6 +185,7 @@ class _SMOSolver:
         tol = self.tol
         n_iter = 0
         neg_inf = -np.inf
+        pos_inf = np.inf
 
         active = np.arange(m2)
         while True:
@@ -179,33 +194,36 @@ class _SMOSolver:
             za = z[active]
             nza = -za
             aa = a[active]
-            Ga = G[active]
             QDa = self.QD[active]
             pos = za > 0
-            # Feasibility masks, patched at i and j after each pair step.
             up_mask = np.where(pos, aa < C, aa > 0.0)
             low_mask = np.where(pos, aa > 0.0, aa < C)
+            # g = -z G masked to the up set (row 0) and the low set
+            # (row 1); both rows take every pair step.
+            rows = np.where(
+                np.stack((up_mask, low_mask)), nza * G[active], [[neg_inf], [pos_inf]]
+            )
+            up, low = rows
             # Scalar access goes through Python lists within the epoch.
             al = aa.tolist()
             zl = za.tolist()
             tl = act_mod.tolist()
+            ul = active.tolist()
             qdl = QDa.tolist()
             columns: dict[int, np.ndarray] = {}
+            denoms: dict[int, np.ndarray] = {}
             budget = self.SHRINK_PERIOD
             converged_active = False
             last_m = np.inf
             last_M = -np.inf
 
             while n_iter < self.max_iter and budget > 0:
-                g = nza * Ga
-                up_vals = np.where(up_mask, g, neg_inf)
-                i = int(up_vals.argmax())
-                g_i = up_vals.item(i)
-                low_vals = np.where(low_mask, g, np.inf)
+                i = int(up.argmax())
+                g_i = up.item(i)
                 last_m = g_i
                 # The minimum up to the sign of a zero, which only ever
                 # enters comparisons.
-                last_M = low_vals.item(low_vals.argmin())
+                last_M = low.item(low.argmin())
                 if g_i - last_M < tol:
                     converged_active = True
                     break
@@ -213,33 +231,48 @@ class _SMOSolver:
                 budget -= 1
 
                 # Second-order working-set selection (LIBSVM WSS2).
-                # Q's column i is z_i * Si; z_i = +-1 flips signs exactly.
                 zi = zl[i]
-                Si = columns.get(tl[i])
-                if Si is None:
-                    Si = self._epoch_column(columns, tl[i], act_mod, za)
+                Ki = columns.get(tl[i])
+                if Ki is None:
+                    Ki = self._epoch_put(columns, tl[i], self.cache.column(tl[i])[act_mod])
+                # The denominator depends on i through QD_i, z_i and its
+                # kernel column alone: one per variable and epoch.
+                if ul[i] in denoms:
+                    denom = denoms[ul[i]]
+                else:
+                    denom = qdl[i] + QDa - (2.0 * zi) * (za * Ki)
+                    np.maximum(denom, _TAU, out=denom)
+                    self._epoch_put(denoms, ul[i], denom)
                 # Outside the low set b_t = g_i - inf, never positive, so
                 # b_t > 0 selects exactly the low entries below g_i.
-                b_t = g_i - low_vals
-                denom = qdl[i] + QDa - (2.0 * zi) * Si
-                np.maximum(denom, _TAU, out=denom)
+                b_t = g_i - low
                 # j = first argmax of b^2 / denom over the candidates,
                 # i.e. the first argmin of the objective change -b^2/denom.
                 obj = np.where(b_t > 0.0, (b_t * b_t) / denom, neg_inf)
                 j = int(obj.argmax())
                 zj = zl[j]
-                Sj = columns.get(tl[j])
-                if Sj is None:
-                    Sj = self._epoch_column(columns, tl[j], act_mod, za)
+                Kj = columns.get(tl[j])
+                if Kj is None:
+                    Kj = self._epoch_put(columns, tl[j], self.cache.column(tl[j])[act_mod])
                 ai = old_ai = al[i]
                 aj = old_aj = al[j]
-                Gi = Ga.item(i)
-                Gj = Ga.item(j)
+                # i, the up row's argmax, is in the up set. With C > 0
+                # every variable is in the up or the low set; j is
+                # outside the low set only when WSS2 found no candidate.
+                j_low = aj > 0.0 if zj > 0.0 else aj < C
+                if j_low:
+                    g_j = low.item(j)
+                else:
+                    g_j = up.item(j)
+                Gi = -zi * g_i
+                Gj = -zj * g_j
+                # Q_ii + Q_jj -+ 2 Q_ij with Q_st = z_s z_t K_st: the signs
+                # cancel or flip exactly, for either pair of blocks.
+                quad = Ki.item(i) + Kj.item(j) - 2.0 * Ki.item(j)
+                if quad <= 0.0:
+                    quad = _TAU
 
                 if zi != zj:
-                    quad = zi * Si.item(i) + zj * Sj.item(j) + 2.0 * (zi * Si.item(j))
-                    if quad <= 0.0:
-                        quad = _TAU
                     delta = (-Gi - Gj) / quad
                     diff = ai - aj
                     ai += delta
@@ -261,9 +294,6 @@ class _SMOSolver:
                             aj = C
                             ai = C + diff
                 else:
-                    quad = zi * Si.item(i) + zj * Sj.item(j) - 2.0 * (zi * Si.item(j))
-                    if quad <= 0.0:
-                        quad = _TAU
                     delta = (Gi - Gj) / quad
                     total = ai + aj
                     ai -= delta
@@ -286,18 +316,27 @@ class _SMOSolver:
                             aj = total
                 al[i] = ai
                 al[j] = aj
-                up_mask[i] = ai < C if zi > 0.0 else ai > 0.0
-                low_mask[i] = ai > 0.0 if zi > 0.0 else ai < C
-                up_mask[j] = aj < C if zj > 0.0 else aj > 0.0
-                low_mask[j] = aj > 0.0 if zj > 0.0 else aj < C
 
-                # Incremental gradient update on the active set.
-                Ga += Si * (zi * (ai - old_ai)) + Sj * (zj * (aj - old_aj))
+                # Incremental gradient update, in g-space, on both rows.
+                rows += Ki * -(zi * (ai - old_ai)) + Kj * -(zj * (aj - old_aj))
+                # Re-patch i and j: the new g from a row each was in
+                # before the step, masked by the new feasibility.
+                gi = up.item(i)
+                gj = low.item(j) if j_low else up.item(j)
+                up[i] = gi if (ai < C if zi > 0.0 else ai > 0.0) else neg_inf
+                low[i] = gi if (ai > 0.0 if zi > 0.0 else ai < C) else pos_inf
+                up[j] = gj if (aj < C if zj > 0.0 else aj > 0.0) else neg_inf
+                low[j] = gj if (aj > 0.0 if zj > 0.0 else aj < C) else pos_inf
 
-            # Write the active block back into the full vectors.
+            # Write the active block back into the full vectors: a from
+            # the list, G = -z g with g read from the row of each
+            # variable's set.
             aa = np.array(al)
             a[active] = aa
-            G[active] = Ga
+            up_mask = np.where(pos, aa < C, aa > 0.0)
+            low_mask = np.where(pos, aa > 0.0, aa < C)
+            g = np.where(up_mask, up, low)
+            G[active] = nza * g
 
             if converged_active or n_iter >= self.max_iter:
                 # Unshrink: rebuild the full gradient and re-check globally.
@@ -315,7 +354,6 @@ class _SMOSolver:
 
             # Shrink: keep free variables and bound variables that can
             # still violate the KKT conditions at the current (m, M).
-            g = nza * Ga
             free = (aa > 0.0) & (aa < C)
             keep = free | (up_mask & (g > last_M)) | (low_mask & (g < last_m))
             if keep.sum() < 2:

@@ -158,7 +158,7 @@ def render_frame(state: DashboardState, width: int = 78) -> str:
         " controller   "
         f"live fraction {_fmt(live):>8}   "
         f"headroom {_fmt(headroom):>8}   "
-        f"RTTF error {_fmt(err, 's'):>10}"
+        f"RTTF error {_fmt(err, 's'):>8}"
     )
     lines.append(
         "              "
@@ -166,29 +166,24 @@ def render_frame(state: DashboardState, width: int = 78) -> str:
     )
     lines.append("")
 
-    # Sparklines for every known series that has data.
-    spark_width = max(16, width - 34)
-    drew_any = False
-    for name in _HEADLINE_SERIES:
-        s = state.series.get(name)
-        if s is None or len(s) == 0:
-            continue
-        drew_any = True
-        lines.append(
-            f" {name:<28} {sparkline(s.values, spark_width)}"
-        )
-        lines.append(
-            f" {'':<28} last {_fmt(s.last_value):>10}  n={s.total}"
-        )
-    # Any series the headline list does not know about still shows up.
-    extras = sorted(set(state.series) - set(_HEADLINE_SERIES))
-    for name in extras:
+    # Sparklines for every series that has data: the headline ones
+    # first, with their last value, then any other series. The name
+    # column fits the longest name drawn; the sparkline gets the rest.
+    headline = [n for n in _HEADLINE_SERIES if len(state.series.get(n, ())) > 0]
+    extras = sorted(
+        n for n in set(state.series) - set(_HEADLINE_SERIES) if len(state.series[n]) > 0
+    )
+    drawn = headline + extras
+    name_width = max(map(len, drawn), default=0)
+    spark_width = max(16, width - name_width - 2)
+    for name in drawn:
         s = state.series[name]
-        if len(s) == 0:
-            continue
-        drew_any = True
-        lines.append(f" {name:<28} {sparkline(s.values, spark_width)}")
-    if not drew_any:
+        lines.append(f" {name:<{name_width}} {sparkline(s.values, spark_width)}")
+        if name in headline:
+            lines.append(
+                f" {'':<{name_width}} last {_fmt(s.last_value):>10}  n={s.total}"
+            )
+    if not drawn:
         lines.append(" (no points yet)")
     lines.append("")
 

@@ -1,10 +1,12 @@
 """Property suite: batch↔online parity and strict no-op bit-identity.
 
-The two pipelines (``aggregate_run`` over a stored history, and
-``OnlineAggregator`` fed one datapoint at a time) must produce the same
-windows — on clean streams, after sanitation of dirty streams, and for
-every ``min_points`` setting. Strict sanitation of clean data must be a
-no-op down to object identity.
+The two pipelines (``aggregate_run`` over a stored history, and a stream
+fed one datapoint at a time) must produce the same windows — on clean
+streams, after sanitation of dirty streams, and for every ``min_points``
+setting. Two streams are checked: the scalar ``OnlineAggregator``
+reference and the production guard the fleet runs, ``FleetStream(1,
+...)``. Strict sanitation of clean data must be a no-op down to object
+identity.
 """
 
 import numpy as np
@@ -12,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregation import AggregationConfig, aggregate_run
-from repro.core.datapoint import FEATURES
+from repro.core.datapoint import AGGREGATED_FEATURES, FEATURES
 from repro.core.history import RunRecord
 from repro.core.sanitize import sanitize_run
 from repro.faults import CORRUPTION_MODELS, DirtyRun, FaultProfile
+from repro.rejuvenation.fleet import FleetStream
 from tests.rejuvenation.control_reference import OnlineAggregator
 
 N_F = len(FEATURES)
@@ -56,6 +59,27 @@ def stream_windows(run, window, *, min_pts=1, policy="strict"):
     return np.vstack(rows) if rows else np.empty((0, 0))
 
 
+def fleet_windows(features, window, *, min_pts=1):
+    """Feed ``FleetStream(1, ...)`` one row per ingest; returns the
+    windows it completed and the stream."""
+    fs = FleetStream(1, window, min_points=min_pts)
+    node = np.zeros(1, dtype=np.int64)
+    rows = [w[0] for raw in features if len(w := fs.ingest(node, raw[None, :])[1])]
+    X = np.vstack(rows) if rows else np.empty((0, len(AGGREGATED_FEATURES)))
+    return X, fs
+
+
+def completed_batch(run, window, batch_X, *, min_pts=1):
+    """``batch_X`` without the window holding the run's last row.
+
+    ``FleetStream`` has no flush: a window completes when the next one
+    opens, so the last one never does. Batch keeps that window only if
+    it holds ``min_pts`` rows.
+    """
+    bins = run.features[:, 0] // window
+    return batch_X[:-1] if (bins == bins[-1]).sum() >= min_pts else batch_X
+
+
 class TestCleanParity:
     @given(clean_run(), windows, min_points)
     @settings(max_examples=60, deadline=None)
@@ -66,6 +90,10 @@ class TestCleanParity:
         assert online_X.shape[0] == batch_X.shape[0]
         if batch_X.shape[0]:
             np.testing.assert_array_equal(online_X, batch_X)
+        np.testing.assert_array_equal(
+            fleet_windows(run.features, window, min_pts=min_pts)[0],
+            completed_batch(run, window, batch_X, min_pts=min_pts),
+        )
 
     @given(clean_run(), windows)
     @settings(max_examples=40, deadline=None)
@@ -117,6 +145,9 @@ class TestDirtyParity:
         assert online_X.shape[0] == batch_X.shape[0]
         if batch_X.shape[0]:
             np.testing.assert_array_equal(online_X, batch_X)
+        np.testing.assert_array_equal(
+            fleet_windows(fixed.features, window)[0], completed_batch(fixed, window, batch_X)
+        )
 
     @given(clean_run(), seeds, windows)
     @settings(max_examples=40, deadline=None)
@@ -146,3 +177,6 @@ class TestDirtyParity:
         online_X = np.vstack(rows)
         np.testing.assert_array_equal(online_X, batch_X)
         assert agg.late_dropped == 0
+        fleet_X, fs = fleet_windows(feats, window)
+        np.testing.assert_array_equal(fleet_X, completed_batch(run, window, batch_X))
+        assert fs.late_dropped == 0

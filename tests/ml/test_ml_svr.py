@@ -104,21 +104,27 @@ class TestSVRMechanics:
         assert np.float64(big.intercept_).tobytes() == np.float64(tiny.intercept_).tobytes()
 
     def test_signed_column_cache_bounded(self):
-        # The solver's per-epoch signed columns obey the same bound.
+        # The solver's per-epoch caches (active kernel columns and WSS2
+        # denominators, both filled by _epoch_put) obey the same bound.
         rng = np.random.default_rng(7)
         X = rng.normal(size=(60, 2))
         y = np.cos(X[:, 0])
         sizes = []
-        real = svr._SMOSolver._epoch_column
+        caches = []
+        real = svr._SMOSolver._epoch_put
 
-        def spy(self, columns, *args):
-            col = real(self, columns, *args)
-            sizes.append(len(columns))
-            return col
+        def spy(self, cache, *args):
+            value = real(self, cache, *args)
+            sizes.append(len(cache))
+            if not any(cache is c for c in caches):
+                caches.append(cache)
+            return value
 
-        with mock.patch.object(svr._SMOSolver, "_epoch_column", spy):
+        with mock.patch.object(svr._SMOSolver, "_epoch_put", spy):
             SVR(C=5.0, epsilon=0.05, kernel="rbf", cache_columns=2).fit(X, y)
         assert max(sizes) == 2
+        # Two caches per epoch, both filled through the helper.
+        assert len(caches) >= 2 and len(caches) % 2 == 0
 
     def test_duplicate_points_handled(self):
         X = np.repeat(np.arange(5.0)[:, None], 4, axis=0)

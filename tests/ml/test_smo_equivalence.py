@@ -1,9 +1,10 @@
 """The SMO solver reproduces the reference loop byte for byte.
 
-``repro.ml.svr._SMOSolver.solve`` keeps its masks and signed kernel
-columns across the iterations of an epoch and does the pair update on
-Python floats; ``tests/ml/smo_reference.py`` is the loop it replaced,
-which rebuilds everything on every iteration. Both run here in one
+``repro.ml.svr._SMOSolver.solve`` works in gradient space within an
+epoch: it keeps the masked signed gradient, its kernel columns and WSS2
+denominators across iterations and does the pair update on Python
+floats; ``tests/ml/smo_reference.py`` is the loop it replaced, which
+rebuilds everything on every iteration. Both run here in one
 process (the BLAS thread count can change an SVR's bits, so solvers run
 under different settings are not comparable), and every case asserts
 byte-equal ``(a, rho, n_iter)`` from the solver and ``support_``,
@@ -145,6 +146,25 @@ def test_degenerate_shrink(kernel):
     assert m.n_iter_ == 2500
 
 
+def _tied_pair() -> tuple[np.ndarray, np.ndarray]:
+    # Two points whose first pair step lands on an exact KKT tie, which
+    # tol = 0 does not accept: from then on the pair search finds no
+    # candidate, i is a free variable and j falls back to index 0,
+    # which is outside the low set, so every pair step must be null.
+    return np.array([[2.0], [0.0]]), np.array([0.0, 3.0])
+
+
+def _tied_svr() -> SVR:
+    return SVR(C=2.0, epsilon=1.0, kernel="linear", tol=0.0, max_iter=50)
+
+
+def test_tied_pair():
+    X, y = _tied_pair()
+    m = assert_same_fit(_tied_svr, X, y)
+    assert m.n_iter_ == 50
+    assert m.support_.size == 2
+
+
 def _lines_run(fn, code) -> set[int]:
     """Line numbers of ``code`` executed while ``fn()`` runs."""
     seen: set[int] = set()
@@ -171,11 +191,14 @@ def _lines_run(fn, code) -> set[int]:
         # None of the case matrix's problems shrink to fewer than two.
         (_flat_problem, _flat_svr, "keep[:] = True"),
         (_duplicated_rows, _duplicated_svr, "quad = _TAU"),
+        # i repeats within an epoch: its WSS2 denominator is reused.
+        (_flat_problem, _flat_svr, "denom = denoms[ul[i]]"),
+        # No candidate: j falls back to 0, which is outside the low set.
+        (_tied_pair, _tied_svr, "g_j = up.item(j)"),
     ],
 )
 def test_problem_reaches_branch(problem, make, marker):
-    """The constructed problems take the branch they are there for (the
-    first ``quad = _TAU`` is the opposite-sign pair's)."""
+    """The constructed problems take the branch they are there for."""
     lines, start = inspect.getsourcelines(svr._SMOSolver.solve)
     line = start + next(k for k, text in enumerate(lines) if marker in text)
     X, y = problem()

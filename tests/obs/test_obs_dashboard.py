@@ -7,12 +7,20 @@ run — the same artifact the CI job regenerates live.
 
 from __future__ import annotations
 
+import inspect
 import io
 from pathlib import Path
 
 import pytest
 
-from repro.obs.dashboard import DashboardState, _Tail, render_frame, run_top, sparkline
+from repro.obs.dashboard import (
+    _BLOCKS,
+    DashboardState,
+    _Tail,
+    render_frame,
+    run_top,
+    sparkline,
+)
 from repro.obs.telemetry import TelemetryBus
 
 FIXTURE = Path(__file__).parent / "data" / "recorded_telemetry.jsonl"
@@ -95,6 +103,24 @@ class TestRenderFrame:
         state = DashboardState()
         state.feed({"kind": "meta", "schema": "something/else"})
         assert "unknown schema" in render_frame(state)
+
+    def test_sparklines_share_a_column_within_width(self):
+        # The longest headline name (33 characters) beside a short extra
+        # series: both sparklines start in one column, and at the
+        # default width no line runs past the frame.
+        state = DashboardState()
+        for name in ("fleet.predicted_failures_per_hour", "x"):
+            for t in range(200):
+                state.feed({"kind": "point", "series": name, "t": float(t), "v": t % 7.0})
+        width = inspect.signature(render_frame).parameters["width"].default
+        lines = render_frame(state).splitlines()
+        starts = [
+            min(line.index(c) for c in _BLOCKS if c in line)
+            for line in lines
+            if any(c in line for c in _BLOCKS)
+        ]
+        assert len(starts) == 2 and starts[0] == starts[1]
+        assert max(map(len, lines)) <= width
 
 
 class TestTail:
