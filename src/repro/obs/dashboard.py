@@ -203,7 +203,8 @@ def render_frame(state: DashboardState, width: int = 78) -> str:
             for k, v in ev.items()
             if k not in ("t", "event")
         )
-        lines.append(f"   t={ev.get('t', 0.0):>10.1f}s  {ev.get('event', '?'):<14} {attrs}")
+        line = f"   t={ev.get('t', 0.0):>10.1f}s  {ev.get('event', '?'):<14} {attrs}"
+        lines.append(line if len(line) <= width else line[: width - 1] + "…")
     lines.append(bar)
     return "\n".join(lines)
 

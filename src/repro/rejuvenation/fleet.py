@@ -67,11 +67,13 @@ _N_RAW = len(FEATURES)
 
 _NO_IDS = np.empty(0, dtype=np.int64)
 _NO_IDS.flags.writeable = False
+_NO_WINDOWS = (_NO_IDS, np.empty((0, 2 * _N_RAW)))
+_NO_WINDOWS[1].flags.writeable = False
 
 
 def _no_windows() -> tuple[np.ndarray, np.ndarray]:
-    """An empty ``(ids, windows)`` ingest result."""
-    return np.empty(0, dtype=np.int64), np.empty((0, 2 * _N_RAW))
+    """The empty ``(ids, windows)`` ingest result (shared, read-only)."""
+    return _NO_WINDOWS
 
 
 #: Node lifecycle states.
@@ -312,6 +314,7 @@ class SimulatedFleetSource(FleetSource):
         #: first step, when its boot wall time is known.
         self._streams: list = [None] * n
         self._fresh = np.zeros(n, dtype=bool)
+        self._n_fresh = 0
         self._corruptors: list = [None] * n
         self._episodes: list = [None] * n
         #: Each running episode's next event, and its episode-local time.
@@ -331,7 +334,9 @@ class SimulatedFleetSource(FleetSource):
         )
         r_inject = rng.spawn(1)[0] if injectors_on(cfg) else None
         self._streams[node] = (*streams, r_inject)
-        self._fresh[node] = True
+        if not self._fresh[node]:
+            self._n_fresh += 1
+            self._fresh[node] = True
         # Dropping an unfinished episode emits nothing.
         self._episodes[node] = None
 
@@ -346,6 +351,7 @@ class SimulatedFleetSource(FleetSource):
             episode = loop_episode(cfg, self.failure_condition, streams, t0=t0)
         self._episodes[node] = episode
         self._fresh[node] = False
+        self._n_fresh -= 1
         self._advance(node)
 
     def _advance(self, node: int) -> None:
@@ -355,8 +361,9 @@ class SimulatedFleetSource(FleetSource):
         self._pending[node] = event[0]
 
     def step(self, ids, walls, nows):
-        for i in ids[self._fresh[ids]].tolist():
-            self._start(i, float(walls[i]))
+        if self._n_fresh:
+            for i in ids[self._fresh[ids]].tolist():
+                self._start(i, float(walls[i]))
         t_end = nows[ids] + self.dt
         pending = self._pending[ids]
         hit = np.flatnonzero(pending <= t_end)
@@ -570,8 +577,9 @@ class FleetStream:
         self._offset = np.zeros(n, dtype=np.float64)
         self._smax = np.zeros(n, dtype=np.float64)
         self._ring = np.zeros((n, self._RING), dtype=np.float64)
-        self._rlen = np.zeros(n, dtype=np.int64)
-        self._rpos = np.zeros(n, dtype=np.int64)
+        # Intervals appended to each ring: the next goes to slot
+        # count % _RING, and the ring holds min(count, _RING) of them.
+        self._rcount = np.zeros(n, dtype=np.int64)
         # data-quality tallies over all nodes (they survive reset_node)
         self._dropped = 0
         self._resets = 0
@@ -605,8 +613,7 @@ class FleetStream:
         """
         self._offset[i] = 0.0
         self._smax[i] = 0.0
-        self._rlen[i] = 0
-        self._rpos[i] = 0
+        self._rcount[i] = 0
         self._wcount[i] = 0
         self._bin[i] = 0
         self._has_bin[i] = False
@@ -695,31 +702,29 @@ class FleetStream:
         smax = self._smax[ids]
         tgen = X[:, 0] + offset
         # -- clock-reset rebase (rare; per-candidate scalar path)
-        cand = np.flatnonzero(
-            (self._rlen[ids] > 0)
-            & (tgen < self._cfg.clock_reset_fraction * smax)
-        )
-        n_resets = 0
-        for k in cand:
-            i = ids[k]
-            med = float(np.median(self._ring[i, : self._rlen[i]]))
-            if med > 0 and smax[k] - tgen[k] > self._cfg.min_reset_drop * med:
-                self._offset[i] += smax[k] + med - tgen[k]
-                offset[k] = self._offset[i]
-                tgen[k] = X[k, 0] + offset[k]
-                n_resets += 1
-        if n_resets:
-            self._resets += n_resets
-            metrics.inc("sanitize.stream_resets_total", float(n_resets))
+        low = tgen < self._cfg.clock_reset_fraction * smax
+        if low.any():
+            n_resets = 0
+            for k in np.flatnonzero(low & (self._rcount[ids] > 0)):
+                i = ids[k]
+                ring = self._ring[i, : min(self._rcount[i], self._RING)]
+                med = float(np.median(ring))
+                if med > 0 and smax[k] - tgen[k] > self._cfg.min_reset_drop * med:
+                    self._offset[i] += smax[k] + med - tgen[k]
+                    offset[k] = self._offset[i]
+                    tgen[k] = X[k, 0] + offset[k]
+                    n_resets += 1
+            if n_resets:
+                self._resets += n_resets
+                metrics.inc("sanitize.stream_resets_total", float(n_resets))
         # -- interval ring (median tracker) + monotone max advance
         adv = tgen > smax
         app = adv & (smax > 0)
         ai = ids[app]
         if ai.size:
-            pos = self._rpos[ai]
-            self._ring[ai, pos] = tgen[app] - smax[app]
-            self._rpos[ai] = (pos + 1) % self._RING
-            self._rlen[ai] = np.minimum(self._rlen[ai] + 1, self._RING)
+            count = self._rcount[ai]
+            self._ring[ai, count % self._RING] = tgen[app] - smax[app]
+            self._rcount[ai] = count + 1
         self._smax[ids[adv]] = tgen[adv]
         # Rewrite the clock column only where an offset is active — the
         # scalar sanitizer leaves untouched rows byte-identical.
@@ -1017,12 +1022,23 @@ class FleetController:
         pred_log = np.zeros((n, 16, 3), dtype=np.float64)
         pred_count = np.zeros(n, dtype=np.int64)
         allowed_down = int(np.floor((1.0 - fcfg.capacity_floor) * n + 1e-9))
+        # Each scan below runs only on ticks where it can change something.
+        # Tallies of `status`, so no tick counts it:
+        n_finished = n_down = n_draining = 0
+        # The least down_until over down nodes: no boot is due before it.
+        next_boot = np.inf
+        # Set when a node leaves or joins the running set.
+        changed = True
+        # No live node's window can be stale before this global time.
+        stale_from = np.inf
+        periodic = type(self.policy) is PeriodicRejuvenation
 
         for i in range(n):
             self.source.boot(i)
             plane.reset_node(i)
 
         def end_episode(i: int, outcome: str) -> None:
+            nonlocal n_finished, n_down, n_draining, next_boot, changed
             nl = log.node_logs[i]
             # Python floats, as the log's fields are typed: numpy scalars
             # would leak into reports and reprs of the run.
@@ -1058,8 +1074,12 @@ class FleetController:
             ep_pred[i] = None
             wants[i] = False
             drain_until[i] = np.inf
+            changed = True
+            if status[i] == NODE_DRAINING:
+                n_draining -= 1
             if outcome == "horizon":
                 status[i] = NODE_FINISHED
+                n_finished += 1
                 return
             downtime = (
                 mcfg.rejuvenation_downtime
@@ -1071,81 +1091,110 @@ class FleetController:
             walls[i] += downtime
             if walls[i] >= horizon:
                 status[i] = NODE_FINISHED
+                n_finished += 1
             else:
                 status[i] = NODE_DOWN
+                n_down += 1
                 # A node may reboot once the global clock has covered its
                 # consumed wall time (uptime + downtime so far) — exact on
                 # the tick grid when downtimes are multiples of dt.
                 down_until[i] = walls[i]
+                next_boot = min(next_boot, float(walls[i]))
 
         t = 0.0
         it = 0
         max_iters = 4 * int(np.ceil(horizon / dt)) + 64
-        while (status != NODE_FINISHED).any():
+        while n_finished < n:
             if it > max_iters:
                 raise RuntimeError(
                     f"fleet loop exceeded {max_iters} iterations — "
                     "a node is not making progress"
                 )
             # 1. reboot nodes whose downtime has elapsed
-            boots = np.flatnonzero(
-                (status == NODE_DOWN) & (down_until <= t + 1e-9)
-            )
-            for i in boots:
-                i = int(i)
-                self.source.boot(i)
-                plane.reset_node(i)
-                nows[i] = 0.0
-                ep_start[i] = walls[i]
-                has_lw[i] = False
-                lw_time[i] = 0.0
-                next_held[i] = 0.0
-                status[i] = NODE_LIVE
-            running = np.flatnonzero(
-                (status == NODE_LIVE) | (status == NODE_DRAINING)
-            )
+            if next_boot <= t + 1e-9:
+                boots = np.flatnonzero(
+                    (status == NODE_DOWN) & (down_until <= t + 1e-9)
+                )
+                for i in boots.tolist():
+                    self.source.boot(i)
+                    plane.reset_node(i)
+                    nows[i] = 0.0
+                    ep_start[i] = walls[i]
+                    has_lw[i] = False
+                    lw_time[i] = 0.0
+                    next_held[i] = 0.0
+                    status[i] = NODE_LIVE
+                n_down -= boots.size
+                next_boot = (
+                    float(down_until[status == NODE_DOWN].min()) if n_down else np.inf
+                )
+                changed = True
+            if changed:
+                running = np.flatnonzero(
+                    (status == NODE_LIVE) | (status == NODE_DRAINING)
+                )
+                changed = False
             if running.size == 0:
                 t += dt
                 it += 1
                 continue
             # 2. horizon pre-check (mirrors `while wall + now < horizon`)
             cont = walls[running] + nows[running] < horizon
-            for i in running[~cont]:
-                end_episode(int(i), "horizon")
-            running = running[cont]
+            if not cont.all():
+                for i in running[~cont]:
+                    end_episode(int(i), "horizon")
+                running = running[cont]
             if running.size:
                 # 3. tick all running nodes
                 due_ids, sample_ids, rows, crashed = self.source.step(
                     running, walls, nows
                 )
                 nows[running] += dt
-                # 4. sanitize + aggregate the tick's samples
-                comp_ids, comp_w = plane.ingest(sample_ids, rows)
-                last_window[comp_ids] = comp_w
-                has_lw[comp_ids] = True
-                lw_time[comp_ids] = nows[comp_ids]
-                # 5. build the scoring set: freshly completed windows of
-                # live nodes + stale-hold re-evaluations. A node that just
-                # completed a window has lw_time == now, so it is never
-                # stale (staleness > 0).
-                fresh = status[comp_ids] == NODE_LIVE
-                consult_ids = comp_ids[fresh]
-                if due_ids.size:
+                # 4. sanitize + aggregate the tick's samples; the scoring
+                # set starts with the freshly completed windows of live
+                # nodes.
+                score_ids, X = _NO_WINDOWS
+                if sample_ids.size:
+                    comp_ids, comp_w = plane.ingest(sample_ids, rows)
+                    if comp_ids.size:
+                        last_window[comp_ids] = comp_w
+                        has_lw[comp_ids] = True
+                        lw_time[comp_ids] = nows[comp_ids]
+                        fresh = status[comp_ids] == NODE_LIVE
+                        score_ids, X = comp_ids[fresh], comp_w[fresh]
+                        stale_from = min(stale_from, t + staleness - dt)
+                # 5. stale-hold re-evaluations. A node that just completed
+                # a window has lw_time == now, so it is never stale
+                # (staleness > 0). Every running node steps on every
+                # tick, so a window's age nows - lw_time grows by dt per
+                # tick, as t does: an age A measured at t passes
+                # `staleness` no earlier than t + staleness - A. Ages are
+                # node-local, so an off-grid reboot, which leaves a node's
+                # walls + nows up to a dt behind t, does not shift them.
+                # stale_from is the least such time over the ages
+                # measured at the last scan and the windows completed
+                # since (age 0), less one dt: t and the nodes' clocks are
+                # separate float sums of dt, which round apart when dt is
+                # no binary fraction, and the slack keeps the guard from
+                # firing a tick late.
+                if due_ids.size and t >= stale_from:
                     d = due_ids[status[due_ids] == NODE_LIVE]
                     stale = d[
                         has_lw[d]
                         & (nows[d] - lw_time[d] > staleness)
                         & (nows[d] >= next_held[d])
                     ]
-                else:
-                    stale = np.empty(0, dtype=np.int64)
-                if stale.size:
-                    next_held[stale] = nows[stale] + mcfg.window_seconds
-                    metrics.inc("fleet.stale_holds_total", float(stale.size))
-                    score_ids = np.concatenate([consult_ids, stale])
-                    X = np.concatenate([comp_w[fresh], last_window[stale]])
-                else:
-                    score_ids, X = consult_ids, comp_w[fresh]
+                    if stale.size:
+                        next_held[stale] = nows[stale] + mcfg.window_seconds
+                        metrics.inc("fleet.stale_holds_total", float(stale.size))
+                        score_ids = np.concatenate([score_ids, stale])
+                        X = np.concatenate([X, last_window[stale]])
+                    held = running[has_lw[running]]
+                    stale_from = (
+                        t + staleness - float((nows[held] - lw_time[held]).max()) - dt
+                        if held.size
+                        else np.inf
+                    )
                 if score_ids.size:
                     with profiler.stage("fleet.predict"):
                         trig, preds, _lbs = plane.consult(
@@ -1169,47 +1218,47 @@ class FleetController:
                     # a node whose prediction recovered above the margin
                     # withdraws from the restart queue.
                     wants[score_ids] = trig
-                # 6. time-based triggers, evaluated every tick
-                live = running[status[running] == NODE_LIVE]
-                tt = plane.time_triggers(live, nows[live])
-                wants[live[tt]] = True
+                # 6. time-based triggers, evaluated every tick (only the
+                # periodic policy has them)
+                if periodic:
+                    live = running[status[running] == NODE_LIVE]
+                    tt = plane.time_triggers(live, nows[live])
+                    wants[live[tt]] = True
                 # 7. grant planned restarts while capacity stays above the
                 # floor; the rest wait (and re-request next tick)
-                requests = np.flatnonzero(wants & (status == NODE_LIVE))
-                if requests.size:
-                    committed = int(
-                        ((status == NODE_DOWN) | (status == NODE_DRAINING)).sum()
-                    )
-                    slots = max(0, allowed_down - committed)
+                if wants.any():
+                    requests = np.flatnonzero(wants & (status == NODE_LIVE))
+                    slots = max(0, allowed_down - (n_down + n_draining))
                     granted = requests[:slots]
                     log.restarts_deferred += int(requests.size - granted.size)
-                    for i in granted:
-                        i = int(i)
+                    for i in granted.tolist():
                         wants[i] = False
                         ep_pred[i] = plane.last_prediction(i)
                         if fcfg.drain_seconds > 0:
                             status[i] = NODE_DRAINING
+                            n_draining += 1
                             drain_until[i] = nows[i] + fcfg.drain_seconds
                         else:
                             end_episode(i, "rejuvenation")
                 # 8. drains that have bled dry restart cleanly
-                drained = np.flatnonzero(
-                    (status == NODE_DRAINING) & (nows >= drain_until - 1e-9)
-                )
-                for i in drained:
-                    end_episode(int(i), "rejuvenation")
+                if n_draining:
+                    drained = np.flatnonzero(
+                        (status == NODE_DRAINING) & (nows >= drain_until - 1e-9)
+                    )
+                    for i in drained.tolist():
+                        end_episode(i, "rejuvenation")
                 # 9. crashes (a trigger in the same tick wins, exactly like
                 # the single-node loop's break-before-failure-check)
-                for k in np.flatnonzero(crashed):
-                    i = int(running[k])
-                    if status[i] in (NODE_LIVE, NODE_DRAINING):
-                        end_episode(i, "crash")
-                        n_down = int((status == NODE_DOWN).sum())
-                        if n_down > allowed_down:
-                            log.floor_violations += 1
-                            metrics.inc("fleet.floor_violations_total")
+                if crashed.any():
+                    for k in np.flatnonzero(crashed).tolist():
+                        i = int(running[k])
+                        if status[i] in (NODE_LIVE, NODE_DRAINING):
+                            end_episode(i, "crash")
+                            if n_down > allowed_down:
+                                log.floor_violations += 1
+                                metrics.inc("fleet.floor_violations_total")
             # 10. capacity bookkeeping + fleet telemetry
-            live_frac = 1.0 - float((status == NODE_DOWN).sum()) / n
+            live_frac = 1.0 - float(n_down) / n
             if live_frac < log.min_live_fraction:
                 log.min_live_fraction = live_frac
             if it % fcfg.telemetry_stride == 0:

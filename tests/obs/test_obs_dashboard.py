@@ -94,6 +94,18 @@ class TestRenderFrame:
         assert "recent events" in frame
         assert state.points_total > 100
 
+    def test_recorded_fixture_fits_the_frame(self):
+        # Event lines carry the policy, uptime and prediction: clipped
+        # with a trailing ellipsis, none runs past the frame.
+        from repro.obs.telemetry import read_jsonl
+
+        state = DashboardState()
+        state.feed_all(read_jsonl(FIXTURE))
+        width = inspect.signature(render_frame).parameters["width"].default
+        lines = render_frame(state).splitlines()
+        assert max(map(len, lines)) <= width
+        assert any(line.endswith("…") for line in lines)
+
     def test_renders_empty_state(self):
         frame = render_frame(DashboardState())
         assert "(no points yet)" in frame

@@ -12,10 +12,15 @@ and imports changed; the logic is the code that ran before:
   :func:`clone` of the policy). Install it in place of the batched plane
   with ``monkeypatch.setattr(fleet, "_BatchedPlane", reference_plane)``;
 - :class:`StreamSanitizer` + ``OnlineAggregator(policy="repair")`` — the
-  per-row stream guard and windowing that ``FleetStream`` vectorizes.
+  per-row stream guard and windowing that ``FleetStream`` vectorizes;
+- :class:`ReferenceFleetController` over
+  :class:`ReferenceSimulatedFleetSource` — the N-node loop and node
+  stepper that ran every scan on every tick, before each scan got a
+  guard that skips it on ticks where it cannot fire.
 
 ``tests/rejuvenation/test_fleet.py`` pins ``ManagedSystem`` and the
-batched plane to these bit for bit.
+batched plane to these bit for bit, and
+``tests/rejuvenation/test_fleet_reference.py`` pins ``FleetController``.
 """
 
 from __future__ import annotations
@@ -33,7 +38,19 @@ from repro.rejuvenation.controller import (
     ManagedRunLog,
     ManagedSystemConfig,
 )
-from repro.rejuvenation.fleet import _no_windows
+from repro.rejuvenation import fleet
+from repro.rejuvenation.fleet import (
+    _N_RAW,
+    _NO_IDS,
+    NODE_DOWN,
+    NODE_DRAINING,
+    NODE_FINISHED,
+    NODE_LIVE,
+    FleetController,
+    FleetRunLog,
+    SimulatedFleetSource,
+    _no_windows,
+)
 from repro.rejuvenation.policy import RejuvenationPolicy
 from repro.system.anomalies import AnomalyProfile
 from repro.system.failure import FailureCondition, SystemView
@@ -665,4 +682,340 @@ class ReferenceManagedSystem:
             log.total_downtime += downtime
             wall += downtime
 
+        return log
+
+
+# -- the N-node loop before its per-tick guards (was repro.rejuvenation.fleet) -----
+
+_fleet_log = get_logger("rejuvenation.fleet")
+
+
+class ReferenceSimulatedFleetSource(SimulatedFleetSource):
+    """``SimulatedFleetSource`` whose ``step`` scans for fresh nodes on
+    every tick."""
+
+    def step(self, ids, walls, nows):
+        for i in ids[self._fresh[ids]].tolist():
+            self._start(i, float(walls[i]))
+        t_end = nows[ids] + self.dt
+        pending = self._pending[ids]
+        hit = np.flatnonzero(pending <= t_end)
+        crashed = np.zeros(ids.size, dtype=bool)
+        if hit.size == 0:
+            return _NO_IDS, _NO_IDS, [], crashed
+        if (pending[hit] != t_end[hit]).any():
+            raise RuntimeError(
+                "SimulatedFleetSource: a node's clock passed its pending "
+                "event; every running node must be stepped on every tick"
+            )
+        due_ids: list[int] = []
+        sample_ids: list[int] = []
+        rows: list = []
+        for k, i in zip(hit.tolist(), ids[hit].tolist()):
+            _, row, _, failed = self._events[i]
+            if row is not None:
+                due_ids.append(i)
+                corruptor = self._corruptors[i]
+                if corruptor is None:
+                    sample_ids.append(i)
+                    rows.append(row)
+                else:
+                    for raw in corruptor.feed(np.asarray(row, dtype=np.float64)):
+                        sample_ids.append(i)
+                        rows.append(raw)
+            if failed:
+                crashed[k] = True
+                self._episodes[i] = None
+                self._pending[i] = np.inf
+            else:
+                self._advance(i)
+        if due_ids:
+            get_metrics().inc("monitor.samples_total", len(due_ids))
+        if self.fault_profile is None and rows:
+            rows = np.array(rows, dtype=np.float64)
+        return (
+            np.asarray(due_ids, dtype=np.int64),
+            np.asarray(sample_ids, dtype=np.int64),
+            rows,
+            crashed,
+        )
+
+
+class ReferenceFleetController(FleetController):
+    """``FleetController`` whose loop runs every scan on every tick.
+
+    The control plane is looked up on the fleet module, so
+    ``reference_plane`` installs here too.
+    """
+
+    def _run(self, fcfg, mcfg, log, rngs) -> FleetRunLog:
+        from repro.obs import get_telemetry
+        from repro.obs.profile import get_profiler
+
+        n = fcfg.n_nodes
+        self.source.bind(rngs, mcfg.horizon_seconds)
+        dt = self.source.dt
+        horizon = mcfg.horizon_seconds
+        staleness = mcfg.resolved_staleness_timeout
+        plane = fleet._BatchedPlane(
+            n,
+            mcfg.window_seconds,
+            self.sanitize_config,
+            self.policy,
+            scoring=fcfg.scoring,
+        )
+        bus = get_telemetry()
+        metrics = get_metrics()
+        profiler = get_profiler()
+
+        status = np.full(n, NODE_LIVE, dtype=np.int8)
+        walls = np.zeros(n, dtype=np.float64)
+        nows = np.zeros(n, dtype=np.float64)
+        ep_start = np.zeros(n, dtype=np.float64)
+        down_until = np.zeros(n, dtype=np.float64)
+        drain_until = np.full(n, np.inf, dtype=np.float64)
+        last_window = np.zeros((n, 2 * _N_RAW), dtype=np.float64)
+        has_lw = np.zeros(n, dtype=bool)
+        lw_time = np.zeros(n, dtype=np.float64)
+        next_held = np.zeros(n, dtype=np.float64)
+        wants = np.zeros(n, dtype=bool)
+        ep_pred: list[float | None] = [None] * n
+        # Predictions made per episode, so the true RTTF can be emitted
+        # retrospectively on crash: node i's first pred_count[i] records
+        # of (global time, episode age, predicted), in the order made.
+        pred_log = np.zeros((n, 16, 3), dtype=np.float64)
+        pred_count = np.zeros(n, dtype=np.int64)
+        allowed_down = int(np.floor((1.0 - fcfg.capacity_floor) * n + 1e-9))
+
+        for i in range(n):
+            self.source.boot(i)
+            plane.reset_node(i)
+
+        def end_episode(i: int, outcome: str) -> None:
+            nl = log.node_logs[i]
+            # Python floats, as the log's fields are typed: numpy scalars
+            # would leak into reports and reprs of the run.
+            uptime = float(min(nows[i], horizon - walls[i]))
+            start = float(ep_start[i])
+            nl.total_uptime += uptime
+            walls[i] += uptime
+            predicted = ep_pred[i] if outcome == "rejuvenation" else None
+            end_t = start + uptime
+            nl.episodes.append(
+                Episode(
+                    start=start,
+                    end=end_t,
+                    outcome=outcome,
+                    predicted_rttf=predicted,
+                )
+            )
+            if outcome == "crash" and pred_count[i]:
+                recs = pred_log[i, : pred_count[i]]
+                errors = recs[:, 2] - (nows[i] - recs[:, 1])
+                for t_pred, err in zip(recs[:, 0].tolist(), errors.tolist()):
+                    bus.emit("fleet.rttf_error", t_pred, err)
+            bus.event(
+                end_t,
+                outcome,
+                node=i,
+                policy=self.policy.name,
+                uptime_s=uptime,
+                predicted_rttf=predicted,
+            )
+            metrics.inc(f"fleet.episodes_total.{outcome}")
+            pred_count[i] = 0
+            ep_pred[i] = None
+            wants[i] = False
+            drain_until[i] = np.inf
+            if outcome == "horizon":
+                status[i] = NODE_FINISHED
+                return
+            downtime = (
+                mcfg.rejuvenation_downtime
+                if outcome == "rejuvenation"
+                else mcfg.crash_downtime
+            )
+            downtime = float(min(downtime, horizon - walls[i]))
+            nl.total_downtime += downtime
+            walls[i] += downtime
+            if walls[i] >= horizon:
+                status[i] = NODE_FINISHED
+            else:
+                status[i] = NODE_DOWN
+                # A node may reboot once the global clock has covered its
+                # consumed wall time (uptime + downtime so far) — exact on
+                # the tick grid when downtimes are multiples of dt.
+                down_until[i] = walls[i]
+
+        t = 0.0
+        it = 0
+        max_iters = 4 * int(np.ceil(horizon / dt)) + 64
+        while (status != NODE_FINISHED).any():
+            if it > max_iters:
+                raise RuntimeError(
+                    f"fleet loop exceeded {max_iters} iterations — "
+                    "a node is not making progress"
+                )
+            # 1. reboot nodes whose downtime has elapsed
+            boots = np.flatnonzero(
+                (status == NODE_DOWN) & (down_until <= t + 1e-9)
+            )
+            for i in boots:
+                i = int(i)
+                self.source.boot(i)
+                plane.reset_node(i)
+                nows[i] = 0.0
+                ep_start[i] = walls[i]
+                has_lw[i] = False
+                lw_time[i] = 0.0
+                next_held[i] = 0.0
+                status[i] = NODE_LIVE
+            running = np.flatnonzero(
+                (status == NODE_LIVE) | (status == NODE_DRAINING)
+            )
+            if running.size == 0:
+                t += dt
+                it += 1
+                continue
+            # 2. horizon pre-check (mirrors `while wall + now < horizon`)
+            cont = walls[running] + nows[running] < horizon
+            for i in running[~cont]:
+                end_episode(int(i), "horizon")
+            running = running[cont]
+            if running.size:
+                # 3. tick all running nodes
+                due_ids, sample_ids, rows, crashed = self.source.step(
+                    running, walls, nows
+                )
+                nows[running] += dt
+                # 4. sanitize + aggregate the tick's samples
+                comp_ids, comp_w = plane.ingest(sample_ids, rows)
+                last_window[comp_ids] = comp_w
+                has_lw[comp_ids] = True
+                lw_time[comp_ids] = nows[comp_ids]
+                # 5. build the scoring set: freshly completed windows of
+                # live nodes + stale-hold re-evaluations. A node that just
+                # completed a window has lw_time == now, so it is never
+                # stale (staleness > 0).
+                fresh = status[comp_ids] == NODE_LIVE
+                consult_ids = comp_ids[fresh]
+                if due_ids.size:
+                    d = due_ids[status[due_ids] == NODE_LIVE]
+                    stale = d[
+                        has_lw[d]
+                        & (nows[d] - lw_time[d] > staleness)
+                        & (nows[d] >= next_held[d])
+                    ]
+                else:
+                    stale = np.empty(0, dtype=np.int64)
+                if stale.size:
+                    next_held[stale] = nows[stale] + mcfg.window_seconds
+                    metrics.inc("fleet.stale_holds_total", float(stale.size))
+                    score_ids = np.concatenate([consult_ids, stale])
+                    X = np.concatenate([comp_w[fresh], last_window[stale]])
+                else:
+                    score_ids, X = consult_ids, comp_w[fresh]
+                if score_ids.size:
+                    with profiler.stage("fleet.predict"):
+                        trig, preds, _lbs = plane.consult(
+                            score_ids, X, nows[score_ids]
+                        )
+                    log.scoring_calls += 1
+                    log.scored_rows += int(score_ids.size)
+                    ok = ~np.isnan(preds)
+                    pi = score_ids[ok]
+                    if pi.size:
+                        slot = pred_count[pi]
+                        if slot.max() >= pred_log.shape[1]:
+                            pred_log = np.concatenate(
+                                [pred_log, np.zeros_like(pred_log)], axis=1
+                            )
+                        pred_log[pi, slot, 0] = walls[pi] + nows[pi]
+                        pred_log[pi, slot, 1] = nows[pi]
+                        pred_log[pi, slot, 2] = preds[ok]
+                        pred_count[pi] = slot + 1
+                    # Fresh policy decisions overwrite any queued request:
+                    # a node whose prediction recovered above the margin
+                    # withdraws from the restart queue.
+                    wants[score_ids] = trig
+                # 6. time-based triggers, evaluated every tick
+                live = running[status[running] == NODE_LIVE]
+                tt = plane.time_triggers(live, nows[live])
+                wants[live[tt]] = True
+                # 7. grant planned restarts while capacity stays above the
+                # floor; the rest wait (and re-request next tick)
+                requests = np.flatnonzero(wants & (status == NODE_LIVE))
+                if requests.size:
+                    committed = int(
+                        ((status == NODE_DOWN) | (status == NODE_DRAINING)).sum()
+                    )
+                    slots = max(0, allowed_down - committed)
+                    granted = requests[:slots]
+                    log.restarts_deferred += int(requests.size - granted.size)
+                    for i in granted:
+                        i = int(i)
+                        wants[i] = False
+                        ep_pred[i] = plane.last_prediction(i)
+                        if fcfg.drain_seconds > 0:
+                            status[i] = NODE_DRAINING
+                            drain_until[i] = nows[i] + fcfg.drain_seconds
+                        else:
+                            end_episode(i, "rejuvenation")
+                # 8. drains that have bled dry restart cleanly
+                drained = np.flatnonzero(
+                    (status == NODE_DRAINING) & (nows >= drain_until - 1e-9)
+                )
+                for i in drained:
+                    end_episode(int(i), "rejuvenation")
+                # 9. crashes (a trigger in the same tick wins, exactly like
+                # the single-node loop's break-before-failure-check)
+                for k in np.flatnonzero(crashed):
+                    i = int(running[k])
+                    if status[i] in (NODE_LIVE, NODE_DRAINING):
+                        end_episode(i, "crash")
+                        n_down = int((status == NODE_DOWN).sum())
+                        if n_down > allowed_down:
+                            log.floor_violations += 1
+                            metrics.inc("fleet.floor_violations_total")
+            # 10. capacity bookkeeping + fleet telemetry
+            live_frac = 1.0 - float((status == NODE_DOWN).sum()) / n
+            if live_frac < log.min_live_fraction:
+                log.min_live_fraction = live_frac
+            if it % fcfg.telemetry_stride == 0:
+                bus.emit("fleet.live_fraction", t, live_frac)
+                bus.emit(
+                    "fleet.capacity_headroom", t, live_frac - fcfg.capacity_floor
+                )
+                live_now = np.flatnonzero(status == NODE_LIVE)
+                bus.emit(
+                    "fleet.predicted_failures_per_hour",
+                    t,
+                    float(plane.predicted_failures(live_now, 3600.0)),
+                )
+                # Cumulative, so the drop row stays live while the
+                # sanitizer drops every sample and no window completes.
+                bus.emit(
+                    "sanitize.dropped_total",
+                    t,
+                    float(plane.stats()["stream_dropped"]),
+                )
+            t += dt
+            it += 1
+
+        stats = plane.stats()
+        log.stream_dropped = int(stats["stream_dropped"])
+        log.late_dropped = int(stats["late_dropped"])
+        _fleet_log.info(
+            "fleet run complete %s",
+            kv(
+                policy=self.policy.name,
+                nodes=n,
+                scoring=fcfg.scoring,
+                episodes=log.n_episodes,
+                crashes=log.n_crashes,
+                rejuvenations=log.n_rejuvenations,
+                availability=log.availability,
+                min_live_fraction=log.min_live_fraction,
+            ),
+        )
         return log

@@ -21,9 +21,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import AggregationConfig, aggregate_history
 from repro.faults import FaultProfile
-from repro.ml import M5PRegressor
 from repro.ml.ensemble import BaggingRegressor
 from repro.obs import get_metrics, get_telemetry, get_tracer
 from repro.rejuvenation import fleet as fleet_module
@@ -128,16 +126,6 @@ def one_node_cases():
     ]
     cases += [pytest.param(3, "batched", name, id=name) for name in ONE_NODE_INPUTS]
     return cases
-
-
-@pytest.fixture(scope="module")
-def rttf_models(history):
-    """An M5P tree and a bagged ensemble trained on 20 s windows."""
-    ds = aggregate_history(history, AggregationConfig(window_seconds=20.0))
-    return {
-        "m5p": M5PRegressor().fit(ds.X, ds.y),
-        "bagged": BaggingRegressor(n_estimators=8, seed=0).fit(ds.X, ds.y),
-    }
 
 
 def m5p_policy(models):
@@ -718,6 +706,32 @@ class TestFleetStream:
                 agg.add(d.row)
         assert stream.resets_total == san.resets_total == 1
         assert stream.dropped_total == san.dropped_total
+
+    def test_early_reset_beside_a_steady_node(self):
+        # Node 0's clock resets after seven growing intervals, before its
+        # 32-slot median ring fills, so the median (and the rebase) reads
+        # exactly the intervals appended so far; node 1's steady rows
+        # arrive in the same batches.
+        window = 50.0
+        stream = FleetStream(2, window)
+        sans, aggs = self._scalar_pipeline(2, window)
+        before = [1.0, 2.0, 4.0, 7.0, 11.0, 16.0, 22.0, 29.0]
+        after = list(np.arange(2.0, 120.0, 3.0))
+        got, want = [], []
+        for k, t0 in enumerate(before + after):
+            rows = np.full((2, 15), 5.0)
+            rows[:, 0] = (t0, 1.0 + 3.0 * k)
+            rows[:, 3] = k
+            done, wins = stream.ingest(np.arange(2), rows.copy())
+            got.extend(zip(done.tolist(), wins))
+            for i, raw in enumerate(rows):
+                w = aggs[i].add(sans[i].process(raw.copy()).row)
+                if w is not None:
+                    want.append((i, w))
+        assert stream.resets_total == sum(s.resets_total for s in sans) == 1
+        assert len(got) == len(want) > 2
+        for (gi, gw), (wi, ww) in zip(got, want):
+            assert gi == wi and gw.tobytes() == ww.tobytes()
 
     def test_reset_node_preserves_quality_counters(self):
         stream = FleetStream(2, 10.0)
