@@ -34,12 +34,9 @@ from typing import Any
 
 from repro.obs import get_logger, get_metrics, kv, span
 from repro.store import ArtifactStore, EntryBusy
+from repro.store.checkpoint import CHECKPOINT_EVERY
 from repro.campaign.spec import CampaignCell, CampaignSpec
-from repro.campaign.stages import (
-    DEFAULT_CHECKPOINT_EVERY,
-    run_stage,
-    stage_artifact,
-)
+from repro.campaign.stages import CellF2PM, run_stage, stage_artifact
 
 _log = get_logger("campaign.manager")
 
@@ -236,7 +233,7 @@ class CampaignManager:
         self,
         *,
         jobs: int = 1,
-        checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
+        checkpoint_every: int = CHECKPOINT_EVERY,
         cooperate: bool = True,
     ) -> CampaignResult:
         """Execute the missing frontier; load everything else.
@@ -329,6 +326,7 @@ class CampaignManager:
         """
         results: dict[str, Any] = {}
         produced_stages: list[str] = []
+        f2pm = CellF2PM(self.spec, cell, self.store, jobs=jobs, block=block)
         with span("campaign.cell", index=cell.index, label=cell.label()):
             for stage in self.spec.stages:
                 value, produced = run_stage(
@@ -339,6 +337,7 @@ class CampaignManager:
                     jobs=jobs,
                     checkpoint_every=checkpoint_every,
                     block=block,
+                    f2pm=f2pm,
                 )
                 results[stage] = value
                 if produced:

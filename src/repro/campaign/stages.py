@@ -12,10 +12,9 @@ Artifact naming (all under one :class:`~repro.store.ArtifactStore`):
 ==========  ======================  ===================================
 stage       entry name              fingerprint kind
 ==========  ======================  ===================================
-simulate    ``history_<fp16>.npz``  ``campaign`` (the config itself —
-                                    identical to the scheme
-                                    ``experiments.common`` has always
-                                    used, so existing caches count)
+simulate    ``history_<fp16>.npz``  ``campaign`` (the config itself,
+                                    so caches written before the
+                                    campaign layer count)
 aggregate   ``dataset_<fp16>.npz``  ``campaign-dataset``
 train       ``model_<fp16>.bin``    ``campaign-model``
 evaluate    ``report_<fp16>.json``  ``campaign-report``
@@ -23,7 +22,9 @@ evaluate    ``report_<fp16>.json``  ``campaign-report``
 
 Simulation is checkpointed (:class:`~repro.store.CampaignCheckpoint`)
 every ``checkpoint_every`` runs, so a killed driver resumes the cell
-bit-identically. Every stage accepts ``block=False`` to raise
+bit-identically. The train and evaluate stages of one cell share one
+F2PM execution (:class:`CellF2PM`) that lives as long as the cell's
+run. Every stage accepts ``block=False`` to raise
 :class:`~repro.store.EntryBusy` instead of waiting on another driver's
 per-entry lock — the cooperation primitive the manager's multi-driver
 sharding is built on.
@@ -32,6 +33,8 @@ sharding is built on.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -49,6 +52,7 @@ from repro.core.persistence import (
 )
 from repro.obs import get_logger, kv, span
 from repro.store import ArtifactStore, CampaignCheckpoint
+from repro.store.checkpoint import CHECKPOINT_EVERY
 from repro.store.keys import SHORT_DIGEST_LEN, fingerprint
 from repro.system.simulator import CampaignConfig, TestbedSimulator
 
@@ -58,9 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.persistence import ModelEnvelope
 
 _log = get_logger("campaign.stages")
-
-#: Cold-cache simulations checkpoint their completed prefix this often.
-DEFAULT_CHECKPOINT_EVERY = 5
 
 
 # -- artifact identity --------------------------------------------------------
@@ -127,7 +128,7 @@ def simulate_cell(
     store: "ArtifactStore | None",
     *,
     jobs: int = 1,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
+    checkpoint_every: int = CHECKPOINT_EVERY,
     block: bool = True,
 ) -> tuple[DataHistory, bool]:
     """Produce-or-load one campaign history; returns ``(history, produced)``.
@@ -191,7 +192,7 @@ def aggregate_cell(
     store: "ArtifactStore | None",
     *,
     jobs: int = 1,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
+    checkpoint_every: int = CHECKPOINT_EVERY,
     block: bool = True,
 ) -> tuple[TrainingSet, bool]:
     """Aggregate one cell's history into its training set (cached)."""
@@ -226,11 +227,6 @@ def aggregate_cell(
 
 # -- stages: train / evaluate -------------------------------------------------
 
-#: One F2PM execution per (cell content, analysis params) per process:
-#: the train and evaluate stages of one cell share it, exactly like the
-#: experiment drivers share ``run_f2pm_cached``.
-_F2PM_MEMO: dict[str, "F2PMResult"] = {}
-
 
 def _f2pm_config(spec: "CampaignSpec") -> F2PMConfig:
     return F2PMConfig(
@@ -243,19 +239,27 @@ def _f2pm_config(spec: "CampaignSpec") -> F2PMConfig:
     )
 
 
-def _run_f2pm(
-    spec: "CampaignSpec",
-    cell: "CampaignCell",
-    store: "ArtifactStore | None",
-    *,
-    jobs: int = 1,
-    block: bool = True,
-) -> "F2PMResult":
-    _, memo_key = stage_artifact(spec, cell, "train")
-    if memo_key not in _F2PM_MEMO:
-        history, _ = simulate_cell(cell.config, store, jobs=jobs, block=block)
-        _F2PM_MEMO[memo_key] = F2PM(_f2pm_config(spec)).run(history, jobs=jobs)
-    return _F2PM_MEMO[memo_key]
+@dataclass
+class CellF2PM:
+    """The F2PM execution of one cell's run, made on first use.
+
+    The manager creates one per cell run and hands it to each stage, so
+    the train and evaluate stages share it and it ends with the cell: a
+    second pass over the same cell fits again.
+    """
+
+    spec: "CampaignSpec"
+    cell: "CampaignCell"
+    store: "ArtifactStore | None"
+    jobs: int = 1
+    block: bool = True
+
+    @cached_property
+    def result(self) -> "F2PMResult":
+        history, _ = simulate_cell(
+            self.cell.config, self.store, jobs=self.jobs, block=self.block
+        )
+        return F2PM(_f2pm_config(self.spec)).run(history, jobs=self.jobs)
 
 
 def train_cell(
@@ -265,11 +269,13 @@ def train_cell(
     *,
     jobs: int = 1,
     block: bool = True,
+    f2pm: "CellF2PM | None" = None,
 ) -> "tuple[ModelEnvelope, bool]":
     """Fit the cell's model grid; persist the best-by-S-MAE envelope."""
+    f2pm = f2pm or CellF2PM(spec, cell, store, jobs=jobs, block=block)
 
     def produce() -> ModelEnvelope:
-        result = _run_f2pm(spec, cell, store, jobs=jobs, block=block)
+        result = f2pm.result
         best = result.best_by_smae("all")
         return ModelEnvelope(
             model=result.models[(best.name, "all")],
@@ -307,11 +313,13 @@ def evaluate_cell(
     *,
     jobs: int = 1,
     block: bool = True,
+    f2pm: "CellF2PM | None" = None,
 ) -> tuple[dict, bool]:
     """Score the cell's model grid; persist the per-model report table."""
+    f2pm = f2pm or CellF2PM(spec, cell, store, jobs=jobs, block=block)
 
     def produce() -> dict:
-        result = _run_f2pm(spec, cell, store, jobs=jobs, block=block)
+        result = f2pm.result
         best = result.best_by_smae("all")
         return {
             "schema": "f2pm.campaign-report/1",
@@ -358,10 +366,15 @@ def run_stage(
     store: "ArtifactStore | None",
     *,
     jobs: int = 1,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
+    checkpoint_every: int = CHECKPOINT_EVERY,
     block: bool = True,
+    f2pm: "CellF2PM | None" = None,
 ) -> tuple[Any, bool]:
-    """Execute one stage of one cell; returns ``(value, produced)``."""
+    """Execute one stage of one cell; returns ``(value, produced)``.
+
+    ``f2pm`` is the cell run's shared F2PM execution; without one, a
+    train or evaluate stage fits its own.
+    """
     with span(f"campaign.stage.{stage}", cell=cell.index) as sp:
         if stage == "simulate":
             value, produced = simulate_cell(
@@ -377,9 +390,13 @@ def run_stage(
                 checkpoint_every=checkpoint_every, block=block,
             )
         elif stage == "train":
-            value, produced = train_cell(spec, cell, store, jobs=jobs, block=block)
+            value, produced = train_cell(
+                spec, cell, store, jobs=jobs, block=block, f2pm=f2pm
+            )
         elif stage == "evaluate":
-            value, produced = evaluate_cell(spec, cell, store, jobs=jobs, block=block)
+            value, produced = evaluate_cell(
+                spec, cell, store, jobs=jobs, block=block, f2pm=f2pm
+            )
         else:
             raise ValueError(f"unknown stage {stage!r}")
         sp.set(produced=produced)

@@ -63,6 +63,9 @@ from repro.utils.tables import render_table
 
 _log = get_logger("cli")
 
+#: Aggregation window (seconds) of the analysis commands' ``--window``.
+DEMO_WINDOW = 20.0
+
 
 def demo_machine() -> MachineConfig:
     """The small VM used by the CLI defaults (fast demonstrations)."""
@@ -443,7 +446,10 @@ def cmd_model(args: argparse.Namespace) -> int:
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.experiments.runall import main as runall_main
+    try:
+        from repro.experiments.runall import main as runall_main
+    except ValueError as exc:  # a bad F2PM_DEFAULT_RUNS, read on import
+        raise SystemExit(f"error: {exc}") from None
 
     runall_main(jobs=resolve_jobs(args.jobs))
     return 0
@@ -749,12 +755,7 @@ def cmd_rejuvenate(args: argparse.Namespace) -> int:
         )
         print(f"compiled scoring model: {model.report.reason}")
 
-    managed = ManagedSystemConfig(
-        horizon_seconds=args.horizon,
-        rejuvenation_downtime=30.0,
-        crash_downtime=300.0,
-        window_seconds=args.window,
-    )
+    managed = ManagedSystemConfig(horizon_seconds=args.horizon, window_seconds=args.window)
     policies = [
         NoRejuvenation(),
         PeriodicRejuvenation(0.5 * min(r.fail_time for r in history)),
@@ -791,12 +792,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     )
 
     spec = SyntheticFleetSpec()
-    managed = ManagedSystemConfig(
-        horizon_seconds=args.horizon,
-        rejuvenation_downtime=30.0,
-        crash_downtime=300.0,
-        window_seconds=args.window,
-    )
+    managed = ManagedSystemConfig(horizon_seconds=args.horizon, window_seconds=args.window)
     fleet = FleetConfig(
         n_nodes=args.nodes,
         capacity_floor=args.capacity_floor,
@@ -830,6 +826,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.rejuvenation import ManagedSystemConfig
+
     parser = argparse.ArgumentParser(
         prog="f2pm",
         description="F2PM: failure-prediction-model framework (IPDPS-W 2015 reproduction)",
@@ -955,7 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("aggregate", help="aggregate a history into a training set")
     p.add_argument("history")
     p.add_argument("-o", "--output", default="dataset.npz")
-    p.add_argument("--window", type=float, default=20.0)
+    p.add_argument("--window", type=float, default=DEMO_WINDOW)
     p.add_argument(
         "--policy",
         choices=("strict", "repair", "quarantine"),
@@ -967,16 +965,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("select", help="print the Lasso regularization path")
     p.add_argument("history")
-    p.add_argument("--window", type=float, default=20.0)
+    p.add_argument("--window", type=float, default=DEMO_WINDOW)
     p.add_argument("--min-features", type=int, default=6)
     p.set_defaults(func=cmd_select)
 
     p = add_parser("train", parallel=True, help="run the full F2PM workflow")
     p.add_argument("history")
-    p.add_argument("--window", type=float, default=20.0)
+    p.add_argument("--window", type=float, default=DEMO_WINDOW)
     p.add_argument("--models", default="linear,m5p,reptree,svm2")
     p.add_argument("--lasso-predictors", action="store_true")
-    p.add_argument("--smae-frac", type=float, default=0.10)
+    p.add_argument("--smae-frac", type=float, default=F2PMConfig.smae_threshold_frac)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", default=None, help="write a Markdown report here")
     p.add_argument(
@@ -1036,7 +1034,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("predict", help="apply a saved model to a history")
     p.add_argument("model")
     p.add_argument("history")
-    p.add_argument("--window", type=float, default=20.0)
+    p.add_argument("--window", type=float, default=DEMO_WINDOW)
     p.add_argument("--limit", type=int, default=10)
     p.set_defaults(func=cmd_predict)
 
@@ -1055,7 +1053,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="output envelope path (default: rewrite MODEL in place)",
     )
-    sp.add_argument("--window", type=float, default=20.0)
+    sp.add_argument("--window", type=float, default=DEMO_WINDOW)
     sp.add_argument(
         "--budget",
         type=int,
@@ -1073,7 +1071,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--dtype", choices=("float32", "float64"), default="float32"
     )
-    sp.add_argument("--smae-frac", type=float, default=0.10)
+    sp.add_argument("--smae-frac", type=float, default=F2PMConfig.smae_threshold_frac)
     sp.add_argument(
         "--val-fraction",
         type=float,
@@ -1091,7 +1089,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("rejuvenate", parallel=True, help="compare rejuvenation policies")
     p.add_argument("--runs", type=int, default=8)
     p.add_argument("--horizon", type=float, default=10_000.0)
-    p.add_argument("--window", type=float, default=20.0)
+    p.add_argument("--window", type=float, default=ManagedSystemConfig.window_seconds)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--substrate",
@@ -1113,7 +1111,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--nodes", type=int, default=100)
     p.add_argument("--horizon", type=float, default=3000.0)
-    p.add_argument("--window", type=float, default=20.0)
+    p.add_argument("--window", type=float, default=ManagedSystemConfig.window_seconds)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--capacity-floor",

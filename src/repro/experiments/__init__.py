@@ -1,14 +1,17 @@
 """Experiment drivers — one per table/figure of the paper's Sec. IV.
 
-Every driver exposes ``run(history=None, verbose=True)`` returning a
+Every driver exposes ``run(<input>=None, verbose=True)`` returning a
 structured result, and can be executed as a script::
 
     python -m repro.experiments.fig4_lasso_path
 
-The default monitoring campaign is simulated once and cached on disk
-(:mod:`repro.experiments.common`), so repeated experiment runs are fast
-and share identical data — like the paper's one-week trace feeding all
-its tables.
+The input is what the artefact is computed from: the campaign history
+(Fig. 3), a fitted Lasso path (Fig. 4, Table I) or one F2PM execution
+(Tables II-IV, Fig. 5, the rejuvenation sweep). ``runall`` builds each
+once and hands it to every driver that reads it; a driver run on its
+own builds its input from the default campaign, which is simulated once
+and cached on disk (:mod:`repro.experiments.common`) — like the paper's
+one-week trace feeding all its tables.
 
 =========  ===================================================
 driver     paper artefact
@@ -20,7 +23,7 @@ table2_*   Table II — S-MAE, all vs selected parameters
 table3_*   Table III — training time
 table4_*   Table IV — validation time
 fig5_*     Fig. 5 — predicted vs real RTTF per method
-runall     all of the above, sharing one F2PM execution
+runall     all of the above, sharing one history and one F2PM execution
 =========  ===================================================
 """
 
@@ -28,12 +31,10 @@ from repro.experiments.common import (
     DEFAULT_CAMPAIGN,
     default_history,
     default_f2pm_config,
-    run_f2pm_cached,
 )
 
 __all__ = [
     "DEFAULT_CAMPAIGN",
     "default_history",
     "default_f2pm_config",
-    "run_f2pm_cached",
 ]

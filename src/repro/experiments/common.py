@@ -1,4 +1,4 @@
-"""Shared campaign data and F2PM execution for the experiment drivers.
+"""Shared campaign data for the experiment drivers.
 
 The paper collected one week of monitoring data and derived every table
 and figure from it. Analogously, all drivers here share a single default
@@ -12,6 +12,9 @@ case it is killed) and the rest load the verified artifact in
 milliseconds. Concurrent cold-cache drivers cooperate on a file lock:
 one simulates, the others wait and load.
 
+Nothing is cached in-process: ``runall`` loads the history once, runs
+F2PM on it once and passes both to the drivers.
+
 ``F2PM_DEFAULT_RUNS`` shrinks the shared campaign (CI uses a small one
 to exercise the cache cheaply); the cache key follows the config, so
 differently-sized campaigns never alias.
@@ -22,35 +25,31 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.core import (
-    AggregationConfig,
-    DataHistory,
-    F2PM,
-    F2PMConfig,
-    F2PMResult,
-)
+from repro.core import AggregationConfig, DataHistory, F2PMConfig, F2PMResult
 from repro.obs import build_manifest, get_logger, get_metrics, kv, write_manifest
-from repro.store import ArtifactStore, fingerprint
+from repro.store import ArtifactStore
 from repro.system import CampaignConfig
 
 _log = get_logger("experiments.common")
 
+
+def _default_runs() -> int:
+    """``F2PM_DEFAULT_RUNS`` as a run count (20 when unset or empty)."""
+    raw = os.environ.get("F2PM_DEFAULT_RUNS") or "20"
+    try:
+        n_runs = int(raw)
+    except ValueError:
+        n_runs = 0
+    if n_runs < 1:
+        raise ValueError(f"F2PM_DEFAULT_RUNS must be a positive integer, got {raw!r}")
+    return n_runs
+
+
 #: The campaign every experiment shares (the "one-week trace").
-DEFAULT_CAMPAIGN = CampaignConfig(
-    n_runs=int(os.environ.get("F2PM_DEFAULT_RUNS", "20") or "20"), seed=7
-)
+DEFAULT_CAMPAIGN = CampaignConfig(n_runs=_default_runs(), seed=7)
 
 #: Aggregation window used by the experiments (seconds).
 EXPERIMENT_WINDOW = 30.0
-
-#: Cold-cache campaigns checkpoint their completed prefix this often.
-CHECKPOINT_EVERY = 5
-
-
-def cache_dir() -> Path:
-    """Resolve (and create) the on-disk cache directory."""
-    path = ArtifactStore().root  # honors F2PM_CACHE_DIR
-    return path
 
 
 def get_store() -> ArtifactStore:
@@ -59,29 +58,12 @@ def get_store() -> ArtifactStore:
     return ArtifactStore()
 
 
-def _campaign_fingerprint(config: CampaignConfig) -> str:
-    """Full canonical fingerprint of the campaign parameters.
-
-    Derived from the explicitly enumerated, canonically encoded config
-    fields (:mod:`repro.store.keys`) — never from ``repr()``, so float
-    repr changes and dataclass field additions alter the key only when
-    they alter the *content* of the config.
-    """
-    return fingerprint("campaign", config)
-
-
-def _campaign_key(config: CampaignConfig) -> str:
-    """Deterministic artifact name for a campaign's history."""
-    return f"history_{_campaign_fingerprint(config)[:16]}"
-
-
 def paper_spec(stages: tuple[str, ...] = ("simulate",)) -> "CampaignSpec":
     """The shared experiment campaign as a declarative spec.
 
     One cell — the default campaign ("the one-week trace") — whose
-    simulate-stage artifact is the very ``history_<fp16>.npz`` entry
-    :func:`default_history` has always cached, so specs and the legacy
-    helpers interchangeably hit the same store entries.
+    simulate-stage artifact is the ``history_<fp16>.npz`` entry
+    :func:`default_history` loads.
     """
     from repro.campaign import CampaignSpec
 
@@ -93,46 +75,27 @@ def paper_spec(stages: tuple[str, ...] = ("simulate",)) -> "CampaignSpec":
     )
 
 
-_HISTORY_MEMO: dict[str, DataHistory] = {}
-
-
 def default_history(
-    config: CampaignConfig | None = None, *, use_cache: bool = True, jobs: int = 1
+    config: CampaignConfig | None = None, *, jobs: int = 1
 ) -> DataHistory:
-    """The shared monitoring campaign (simulate once, then load).
+    """The shared monitoring campaign, loaded from the artifact store
+    (simulated and published on a miss).
 
-    With ``use_cache`` the result is memoized both in-process and in the
-    artifact store, so every driver in one process sees the *same
-    object* (which also lets :func:`run_f2pm_cached` share one F2PM
-    execution across tables). ``jobs`` parallelizes a cache-miss
-    simulation; the campaign is deterministic for any worker count, so
-    the cache key needs no ``jobs`` component.
-
-    The store interaction (naming, fingerprints, checkpointed cold
-    production, lock cooperation) lives in
-    :func:`repro.campaign.stages.simulate_cell` — this helper is a thin
-    memoizing wrapper over the campaign simulate stage.
+    ``jobs`` parallelizes a cache-miss simulation; the campaign is
+    deterministic for any worker count, so the cache key needs no
+    ``jobs`` component. The store interaction (naming, fingerprints,
+    checkpointed cold production, lock cooperation) is the campaign
+    simulate stage, :func:`repro.campaign.stages.simulate_cell`.
     """
-    from repro.campaign.stages import simulate_cell
+    from repro.campaign.stages import history_name, simulate_cell
 
     config = config or DEFAULT_CAMPAIGN
-    key = _campaign_key(config)
-    if use_cache and key in _HISTORY_MEMO:
-        return _HISTORY_MEMO[key]
-    history, produced = simulate_cell(
-        config,
-        get_store() if use_cache else None,
-        jobs=jobs,
-        checkpoint_every=CHECKPOINT_EVERY,
-    )
-    if not use_cache:
-        return history
+    history, produced = simulate_cell(config, get_store(), jobs=jobs)
     _log.info(
         "campaign %s %s",
         "simulated" if produced else "loaded",
-        kv(key=key, runs=len(history)),
+        kv(key=history_name(config), runs=len(history)),
     )
-    _HISTORY_MEMO[key] = history
     return history
 
 
@@ -144,33 +107,6 @@ def default_f2pm_config() -> F2PMConfig:
         validation_fraction=0.3,
         seed=0,
     )
-
-
-_F2PM_MEMO: dict[tuple[str, str], F2PMResult] = {}
-
-
-def run_f2pm_cached(history: DataHistory | None = None, jobs: int = 1) -> F2PMResult:
-    """Run F2PM once per process per (history content, config) pair
-    (Tables II-IV and Fig. 5 all read the same execution, as in the
-    paper).
-
-    The memo is keyed by the history's content fingerprint plus the
-    F2PM config fingerprint — never by ``id()``, which a garbage
-    collector could alias to a different campaign occupying the same
-    address. ``jobs`` parallelizes the model grid on a memo miss; error
-    metrics are worker-count-invariant, so the memo stays valid either
-    way.
-    """
-    if history is None:
-        history = default_history(jobs=jobs)
-    config = default_f2pm_config()
-    key = (history.content_fingerprint(), fingerprint("f2pm-config", config))
-    if key not in _F2PM_MEMO:
-        get_metrics().inc("experiments.f2pm_memo_misses_total")
-        _F2PM_MEMO[key] = F2PM(config).run(history, jobs=jobs)
-    else:
-        get_metrics().inc("experiments.f2pm_memo_hits_total")
-    return _F2PM_MEMO[key]
 
 
 # -- manifests ---------------------------------------------------------------------
@@ -213,11 +149,11 @@ def write_driver_manifest(
 ) -> Path:
     """Persist a driver manifest next to the campaign outputs.
 
-    Defaults to the experiment cache directory (where the shared
+    Defaults to the experiment store's directory (where the shared
     campaign artifact lives), so every artefact's provenance sits beside
     the data it was derived from.
     """
-    target = Path(directory) if directory is not None else cache_dir()
+    target = Path(directory) if directory is not None else get_store().root
     path = write_manifest(manifest, target / f"{driver}.manifest.json")
     _log.info("manifest written %s", kv(driver=driver, path=str(path)))
     return path

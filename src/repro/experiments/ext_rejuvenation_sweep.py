@@ -14,10 +14,15 @@ the availability trade-off:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.core import AggregationConfig, DataHistory, F2PM, F2PMConfig
-from repro.experiments.common import DEFAULT_CAMPAIGN, EXPERIMENT_WINDOW, default_history
+from repro.core import F2PM, F2PMResult
+from repro.experiments.common import (
+    DEFAULT_CAMPAIGN,
+    EXPERIMENT_WINDOW,
+    default_f2pm_config,
+    default_history,
+)
 from repro.rejuvenation import (
     ManagedSystem,
     ManagedSystemConfig,
@@ -30,6 +35,9 @@ from repro.utils.tables import render_table
 
 #: Margins expressed as multiples of the model's S-MAE tolerance.
 MARGIN_FACTORS = (0.25, 0.5, 1.0, 2.0, 4.0)
+
+#: The models the policy may serve: the paper's two most accurate.
+SWEEP_MODELS = ("m5p", "reptree")
 
 
 @dataclass
@@ -55,35 +63,29 @@ class RejuvenationSweepResult:
 
 
 def run(
-    history: DataHistory | None = None,
+    f2pm: F2PMResult | None = None,
     verbose: bool = True,
     horizon_seconds: float = 40_000.0,
     campaign=None,
 ) -> RejuvenationSweepResult:
-    """Sweep predictive margins over a managed horizon.
+    """Sweep predictive margins over a managed horizon, serving the more
+    accurate of *f2pm*'s :data:`SWEEP_MODELS` (default: fit only those
+    on the shared campaign).
 
-    ``campaign`` must describe the same system *history* was collected on
-    (the model transfers only within one machine configuration); defaults
-    to the shared experiment campaign.
+    ``campaign`` must describe the same system the F2PM history was
+    collected on (the model transfers only within one machine
+    configuration); defaults to the shared experiment campaign.
     """
-    if history is None:
-        history = default_history()
-    f2pm = F2PM(
-        F2PMConfig(
-            aggregation=AggregationConfig(window_seconds=EXPERIMENT_WINDOW),
-            models=("m5p", "reptree"),
-            lasso_predictor_lambdas=(),
-            seed=0,
+    if f2pm is None:
+        config = replace(
+            default_f2pm_config(), models=SWEEP_MODELS, lasso_predictor_lambdas=()
         )
-    ).run(history)
-    best = f2pm.best_by_smae("all")
+        f2pm = F2PM(config).run(default_history())
+    best = min((f2pm.report(name) for name in SWEEP_MODELS), key=lambda r: r.s_mae)
     model = f2pm.models[(best.name, "all")]
 
     managed_cfg = ManagedSystemConfig(
-        horizon_seconds=horizon_seconds,
-        rejuvenation_downtime=30.0,
-        crash_downtime=300.0,
-        window_seconds=EXPERIMENT_WINDOW,
+        horizon_seconds=horizon_seconds, window_seconds=EXPERIMENT_WINDOW
     )
     if campaign is None:
         campaign = DEFAULT_CAMPAIGN

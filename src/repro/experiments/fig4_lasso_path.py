@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import AggregationConfig, DataHistory, LassoFeatureSelector, aggregate_history
+from repro.core import AggregationConfig, LassoFeatureSelector, aggregate_history
 from repro.experiments.common import EXPERIMENT_WINDOW, default_history
 from repro.utils.tables import render_table
 
@@ -51,13 +51,15 @@ class Fig4Result:
         )
 
 
-def run(history: DataHistory | None = None, verbose: bool = True) -> Fig4Result:
-    if history is None:
-        history = default_history()
-    dataset = aggregate_history(
-        history, AggregationConfig(window_seconds=EXPERIMENT_WINDOW)
-    )
-    selector = LassoFeatureSelector().fit(dataset)
+def run(
+    selector: LassoFeatureSelector | None = None, verbose: bool = True
+) -> Fig4Result:
+    """Read a fitted Lasso path (default: fit one on the shared campaign)."""
+    if selector is None:
+        dataset = aggregate_history(
+            default_history(), AggregationConfig(window_seconds=EXPERIMENT_WINDOW)
+        )
+        selector = LassoFeatureSelector().fit(dataset)
     pairs = selector.selection_counts()
     result = Fig4Result(
         lambdas=np.array([lam for lam, _ in pairs]),

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import DataHistory, F2PMResult
-from repro.experiments.common import default_history, run_f2pm_cached
+from repro.core import F2PM, F2PMResult
+from repro.experiments.common import default_f2pm_config, default_history
 from repro.utils.tables import render_table
 
 #: Models plotted in the paper's Fig. 5 panels (a)-(f).
@@ -103,10 +103,10 @@ def _bin_errors(name: str, y_true: np.ndarray, y_pred: np.ndarray) -> ModelBins:
     )
 
 
-def run(history: DataHistory | None = None, verbose: bool = True) -> Fig5Result:
-    if history is None:
-        history = default_history()
-    f2pm = run_f2pm_cached(history)
+def run(f2pm: F2PMResult | None = None, verbose: bool = True) -> Fig5Result:
+    """Read *f2pm* (default: run F2PM on the shared campaign)."""
+    if f2pm is None:
+        f2pm = F2PM(default_f2pm_config()).run(default_history())
     y_true = f2pm.y_validation
     bins: dict[str, ModelBins] = {}
     for name in FIG5_MODELS:

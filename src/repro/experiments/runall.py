@@ -4,12 +4,15 @@ Usage::
 
     python -m repro.experiments.runall
 
+The shared campaign is loaded (or simulated) once and F2PM runs on it
+once; each paper driver is handed the input it reads
+(:func:`paper_drivers`).
+
 Besides the tables/figures, a full reproduction emits one consolidated
 telemetry bundle — a manifest with the span tree of the whole session
 (one child per driver), the final metrics snapshot and the per-driver
 manifests — written next to the cached campaign (``runall.telemetry.json``
-under the experiment cache directory, see
-:func:`repro.experiments.common.cache_dir`).
+in the experiment store's directory, ``common.get_store().root``).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.campaign import CampaignManager
+from repro.core import F2PM, DataHistory, F2PMResult
 from repro.experiments import common
 from repro.experiments import (
     ext_generalization,
@@ -34,6 +38,22 @@ from repro.experiments import (
 from repro.obs import build_manifest, get_metrics, get_tracer, span, write_manifest
 
 
+def paper_drivers(history: DataHistory, f2pm: F2PMResult) -> tuple:
+    """``(driver, input)`` pairs in paper order: Fig. 3 reads the
+    history, Fig. 4 and Table I the fitted Lasso path, the rest the F2PM
+    execution."""
+    return (
+        (fig3_rt_correlation, history),
+        (fig4_lasso_path, f2pm.selector),
+        (table1_weights, f2pm.selector),
+        (table2_smae, f2pm),
+        (table3_training_time, f2pm),
+        (table4_validation_time, f2pm),
+        (fig5_fitted_models, f2pm),
+        (ext_rejuvenation_sweep, f2pm),
+    )
+
+
 def main(telemetry_dir: "Path | str | None" = None, jobs: int = 1) -> Path:
     """Run every driver; returns the telemetry-bundle path.
 
@@ -48,35 +68,21 @@ def main(telemetry_dir: "Path | str | None" = None, jobs: int = 1) -> Path:
     root = span("experiments.runall", jobs=jobs)
     with root:
         # The shared campaign as a declarative spec: print the
-        # spec-vs-store diff, execute only the missing frontier, then let
-        # `default_history` memoize the (now published) artifact so every
-        # driver below shares one object.
+        # spec-vs-store diff, then execute only the missing frontier.
         manager = CampaignManager(common.paper_spec(), common.get_store())
         print(manager.plan().summary())
         with span("campaign"):
-            manager.run(jobs=jobs)
-            history = common.default_history(jobs=jobs)
+            history = manager.run(jobs=jobs).outcome(0).results["simulate"]
         print(
             f"campaign: {len(history)} runs, {history.n_datapoints} datapoints, "
             f"mean run length {history.mean_run_length:.0f}s\n"
         )
-        # Prewarm the shared F2PM execution with the requested
-        # parallelism; the table/figure drivers below hit the memo.
-        common.run_f2pm_cached(history, jobs=jobs)
-        for driver in (
-            fig3_rt_correlation,
-            fig4_lasso_path,
-            table1_weights,
-            table2_smae,
-            table3_training_time,
-            table4_validation_time,
-            fig5_fitted_models,
-            ext_rejuvenation_sweep,
-        ):
+        f2pm = F2PM(common.default_f2pm_config()).run(history, jobs=jobs)
+        for driver, shared in paper_drivers(history, f2pm):
             name = driver.__name__.rsplit(".", 1)[-1]
             print(f"==== {name} ====")
             with span(name):
-                result = driver.run(history)
+                result = driver.run(shared)
             if hasattr(result, "manifest"):
                 driver_manifests[name] = result.manifest()
             print()
@@ -101,7 +107,7 @@ def main(telemetry_dir: "Path | str | None" = None, jobs: int = 1) -> Path:
         metrics=metrics.snapshot(),
         extra={"drivers": driver_manifests},
     )
-    target = Path(telemetry_dir) if telemetry_dir is not None else common.cache_dir()
+    target = Path(telemetry_dir) if telemetry_dir is not None else common.get_store().root
     path = write_manifest(bundle, target / "runall.telemetry.json")
     print(f"telemetry bundle -> {path}")
     return path

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core import AggregationConfig, DataHistory, LassoFeatureSelector, aggregate_history
+from repro.core import AggregationConfig, LassoFeatureSelector, aggregate_history
 from repro.core.feature_selection import DesignAudit, SelectionResult
 from repro.experiments.common import EXPERIMENT_WINDOW, default_history
 from repro.utils.tables import render_table
@@ -68,16 +68,16 @@ class Table1Result:
 
 
 def run(
-    history: DataHistory | None = None,
+    selector: LassoFeatureSelector | None = None,
     verbose: bool = True,
     min_features: int = 6,
 ) -> Table1Result:
-    if history is None:
-        history = default_history()
-    dataset = aggregate_history(
-        history, AggregationConfig(window_seconds=EXPERIMENT_WINDOW)
-    )
-    selector = LassoFeatureSelector().fit(dataset)
+    """Read a fitted Lasso path (default: fit one on the shared campaign)."""
+    if selector is None:
+        dataset = aggregate_history(
+            default_history(), AggregationConfig(window_seconds=EXPERIMENT_WINDOW)
+        )
+        selector = LassoFeatureSelector().fit(dataset)
     selection = selector.strongest_with_at_least(min_features)
     result = Table1Result(selection=selection, audit=selector.audit_)
     if verbose:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core import DataHistory, F2PMResult
-from repro.experiments.common import default_history, run_f2pm_cached
+from repro.core import F2PM, F2PMResult
+from repro.experiments.common import default_f2pm_config, default_history
 
 
 @dataclass
@@ -31,10 +31,11 @@ class Table3Result:
         return driver_manifest("table3_training_time", self.result)
 
 
-def run(history: DataHistory | None = None, verbose: bool = True) -> Table3Result:
-    if history is None:
-        history = default_history()
-    result = Table3Result(result=run_f2pm_cached(history))
+def run(f2pm: F2PMResult | None = None, verbose: bool = True) -> Table3Result:
+    """Read *f2pm* (default: run F2PM on the shared campaign)."""
+    if f2pm is None:
+        f2pm = F2PM(default_f2pm_config()).run(default_history())
+    result = Table3Result(result=f2pm)
     if verbose:
         print(result.table())
     return result

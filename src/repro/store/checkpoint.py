@@ -29,6 +29,10 @@ if TYPE_CHECKING:  # lazy: repro.core.history imports repro.store.atomic
 
 _log = get_logger("store.checkpoint")
 
+#: Runs between checkpoint saves when the caller names no cadence: a
+#: killed campaign loses at most this many runs minus one.
+CHECKPOINT_EVERY = 5
+
 
 class CampaignCheckpoint:
     """Atomic, fingerprint-validated partial-campaign persistence.

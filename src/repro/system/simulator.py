@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -50,10 +49,8 @@ from repro.system.schedule import ConstantLoad, LoadSchedule
 from repro.system.server import AppServer, ServerConfig
 from repro.system.tpcw import SHOPPING_MIX, EmulatedBrowserPool, TPCWMix
 from repro.obs import get_logger, get_metrics, get_telemetry, kv, span
+from repro.store.checkpoint import CHECKPOINT_EVERY, CampaignCheckpoint
 from repro.utils.rng import as_rng
-
-if TYPE_CHECKING:  # pragma: no cover - checkpointing is optional plumbing
-    from repro.store.checkpoint import CampaignCheckpoint
 
 _log = get_logger("system.simulator")
 
@@ -533,7 +530,7 @@ class TestbedSimulator:
         jobs: int = 1,
         *,
         checkpoint: "CampaignCheckpoint | None" = None,
-        checkpoint_every: int = 8,
+        checkpoint_every: int = CHECKPOINT_EVERY,
     ) -> DataHistory:
         """Simulate ``n_runs`` restart cycles (the week-long experiment).
 
@@ -551,8 +548,6 @@ class TestbedSimulator:
         done: list[RunRecord] = []
         if checkpoint is not None:
             if checkpoint.total_runs != self.config.n_runs:
-                from repro.store.checkpoint import CampaignCheckpoint
-
                 # A caller handed us a checkpoint sized for a different
                 # campaign (e.g. the spec was narrowed between runs).
                 # Silently replaying its prefix would mislabel runs —

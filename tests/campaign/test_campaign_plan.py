@@ -40,7 +40,6 @@ class TestPlan:
         # A store populated by the pre-campaign helper must satisfy a
         # spec covering the same config — same names, same fingerprints.
         spec = tiny_spec()
-        common._HISTORY_MEMO.clear()  # force the store path, not the memo
         common.default_history(spec.cells()[0].config)
         plan = CampaignManager(spec, store).plan()
         assert len(plan.cached_cells) == 1

@@ -26,6 +26,10 @@ def simulated_runs() -> int:
     return get_metrics().snapshot()["counters"].get("sim.runs_total", 0)
 
 
+def f2pm_runs() -> int:
+    return get_metrics().snapshot()["counters"].get("f2pm.runs_total", 0)
+
+
 class TestRunMissingOnly:
     def test_second_run_simulates_nothing(self, store):
         spec = tiny_spec(seeds=(3, 5), stages=("simulate", "aggregate"))
@@ -63,6 +67,14 @@ class TestRunMissingOnly:
         result = CampaignManager(spec, None).run(jobs=1)
         assert result.cells_run == 2
         assert result.cells_cached == 0
+
+    def test_each_storeless_pass_fits_f2pm_once(self):
+        spec = tiny_spec(stages=("train", "evaluate"), models=("linear",))
+        before = f2pm_runs()
+        CampaignManager(spec, None).run(jobs=1)
+        assert f2pm_runs() == before + 1  # train and evaluate share one fit
+        CampaignManager(spec, None).run(jobs=1)
+        assert f2pm_runs() == before + 2  # the fit ended with the first pass
 
 
 class TestBitIdentity:

@@ -17,7 +17,6 @@ import pytest
 from repro.campaign import CampaignSpec, STAGES, merged_cells, stage_artifact
 from repro.campaign import stages
 from repro.store.keys import fingerprint
-from repro.experiments.common import _campaign_fingerprint
 from repro.system.tpcw import MIXES
 from tests.campaign.conftest import tiny_spec
 from tests.conftest import small_campaign
@@ -67,7 +66,7 @@ class TestFingerprint:
         # covering the same config.
         spec = tiny_spec()
         (cell,) = spec.cells()
-        assert cell.fingerprint == _campaign_fingerprint(cell.config)
+        assert cell.fingerprint == stages.campaign_fingerprint(cell.config)
         name, fp = stage_artifact(spec, cell, "simulate")
         assert name == f"history_{fp[:16]}.npz"
 

@@ -1,42 +1,43 @@
 """Tests for the experiment drivers (repro.experiments.*).
 
-Each driver runs on the fast session campaign (not the big default one)
-by passing ``history`` explicitly — the default cached campaign is only
-exercised by the benchmark harness.
+Each driver runs on the fast session campaign (not the big default one),
+fed the input ``runall`` would give it — the history, or one F2PM
+execution of the default configuration on it — so the default cached
+campaign is only exercised by the benchmark harness.
 """
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core import F2PM, LassoFeatureSelector, aggregate_history
 from repro.experiments import (
+    ext_rejuvenation_sweep,
     fig3_rt_correlation,
     fig4_lasso_path,
     fig5_fitted_models,
+    runall,
     table1_weights,
     table2_smae,
     table3_training_time,
     table4_validation_time,
 )
 from repro.experiments import common
+from repro.obs import get_metrics
+
+#: The sweep's managed horizon in these tests (the default is 40,000 s).
+SWEEP_HORIZON = 4000.0
 
 
-@pytest.fixture(autouse=True)
-def small_f2pm_config(monkeypatch):
-    """Make the shared F2PM execution cheap for driver tests."""
-    from repro.core import AggregationConfig, F2PMConfig
-
-    def cheap():
-        return F2PMConfig(
-            aggregation=AggregationConfig(window_seconds=30.0),
-            models=("linear", "m5p", "reptree"),
-            lasso_predictor_lambdas=(1.0, 1e9),
-            seed=0,
-        )
-
-    monkeypatch.setattr(common, "default_f2pm_config", cheap)
-    common._F2PM_MEMO.clear()
-    yield
-    common._F2PM_MEMO.clear()
+@pytest.fixture(scope="module")
+def paper_f2pm(history):
+    """The F2PM execution ``runall`` shares, on the session campaign."""
+    return F2PM(common.default_f2pm_config()).run(history)
 
 
 class TestFig3Driver:
@@ -54,8 +55,8 @@ class TestFig3Driver:
 
 
 class TestFig4Driver:
-    def test_run(self, history, capsys):
-        result = fig4_lasso_path.run(history, verbose=True)
+    def test_run(self, paper_f2pm, capsys):
+        result = fig4_lasso_path.run(paper_f2pm.selector, verbose=True)
         out = capsys.readouterr().out
         assert "Parameters selected by Lasso" in out
         assert result.lambdas.shape == (10,)
@@ -63,21 +64,21 @@ class TestFig4Driver:
 
 
 class TestTable1Driver:
-    def test_run(self, history, capsys):
-        result = table1_weights.run(history, verbose=True)
+    def test_run(self, paper_f2pm, capsys):
+        result = table1_weights.run(paper_f2pm.selector, verbose=True)
         out = capsys.readouterr().out
         assert "Table I" in out
         assert result.selection.n_selected >= 1
         assert isinstance(result.memory_dominated, bool)
 
-    def test_min_features_honored(self, history):
-        result = table1_weights.run(history, verbose=False, min_features=3)
+    def test_min_features_honored(self, paper_f2pm):
+        result = table1_weights.run(paper_f2pm.selector, verbose=False, min_features=3)
         assert result.selection.n_selected >= 3
 
 
 class TestTable2Driver:
-    def test_run(self, history, capsys):
-        result = table2_smae.run(history, verbose=True)
+    def test_run(self, paper_f2pm, capsys):
+        result = table2_smae.run(paper_f2pm, verbose=True)
         out = capsys.readouterr().out
         assert "Soft Mean Absolute Error" in out
         assert result.smae("linear") > 0.0
@@ -85,22 +86,22 @@ class TestTable2Driver:
 
 
 class TestTable3Driver:
-    def test_run(self, history, capsys):
-        result = table3_training_time.run(history, verbose=True)
+    def test_run(self, paper_f2pm, capsys):
+        result = table3_training_time.run(paper_f2pm, verbose=True)
         assert "Training time" in capsys.readouterr().out
         assert result.train_time("m5p") > 0.0
 
 
 class TestTable4Driver:
-    def test_run(self, history, capsys):
-        result = table4_validation_time.run(history, verbose=True)
+    def test_run(self, paper_f2pm, capsys):
+        result = table4_validation_time.run(paper_f2pm, verbose=True)
         assert "Validation time" in capsys.readouterr().out
         assert result.all_sub_second
 
 
 class TestFig5Driver:
-    def test_run(self, history, capsys):
-        result = fig5_fitted_models.run(history, verbose=True)
+    def test_run(self, paper_f2pm, capsys):
+        result = fig5_fitted_models.run(paper_f2pm, verbose=True)
         out = capsys.readouterr().out
         assert "prediction error vs distance" in out
         assert "m5p" in result.bins
@@ -109,11 +110,9 @@ class TestFig5Driver:
 
 
 class TestRejuvenationSweepDriver:
-    def test_run(self, history, campaign, capsys):
-        from repro.experiments import ext_rejuvenation_sweep
-
+    def test_run(self, paper_f2pm, campaign, capsys):
         result = ext_rejuvenation_sweep.run(
-            history, verbose=True, horizon_seconds=4000.0, campaign=campaign
+            paper_f2pm, verbose=True, horizon_seconds=SWEEP_HORIZON, campaign=campaign
         )
         out = capsys.readouterr().out
         assert "availability vs RTTF margin" in out
@@ -148,87 +147,124 @@ class TestMixComparisonDriver:
         assert result.home_rate_orders_ttf
 
 
+def f2pm_runs() -> int:
+    return get_metrics().snapshot()["counters"].get("f2pm.runs_total", 0)
+
+
+def count_calls(monkeypatch, original, owners) -> list:
+    """Route every owner's binding of *original* through a call counter."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, original.__name__, counted)
+    return calls
+
+
+def run_quietly(driver, shared, campaign):
+    """Run a paper driver without printing; the sweep gets the short
+    test horizon on the session campaign's system."""
+    if driver is ext_rejuvenation_sweep:
+        return driver.run(
+            shared, verbose=False, horizon_seconds=SWEEP_HORIZON, campaign=campaign
+        )
+    return driver.run(shared, verbose=False)
+
+
+def mask_times(table: str) -> str:
+    return re.sub(r"\d+\.\d+(e[-+]\d+)?", "#", table)
+
+
 class TestSharedExecution:
-    def test_f2pm_memoized_across_drivers(self, history):
-        r2 = table2_smae.run(history, verbose=False)
-        r3 = table3_training_time.run(history, verbose=False)
-        assert r2.result is r3.result  # one F2PM execution shared
+    def test_each_phase_runs_once(self, history, campaign, monkeypatch):
+        """Fed as ``runall`` feeds them, the drivers run F2PM, the Lasso
+        path fit and the aggregation once in total."""
+        fits = count_calls(monkeypatch, LassoFeatureSelector.fit, [LassoFeatureSelector])
+        aggregations = count_calls(
+            monkeypatch,
+            aggregate_history,
+            [
+                module
+                for module in list(sys.modules.values())
+                if getattr(module, "__name__", "").startswith("repro")
+                and getattr(module, "aggregate_history", None) is aggregate_history
+            ],
+        )
+        before = f2pm_runs()
+        f2pm = F2PM(common.default_f2pm_config()).run(history)
+        for driver, shared in runall.paper_drivers(history, f2pm):
+            # A driver that ignored its input would refit on this, not
+            # on the default campaign.
+            monkeypatch.setattr(driver, "default_history", lambda: history)
+            run_quietly(driver, shared, campaign)
+        assert f2pm_runs() - before == 1
+        assert len(fits) == 1
+        assert len(aggregations) == 1
+
+    @pytest.mark.parametrize(
+        "driver",
+        [
+            fig4_lasso_path,
+            table1_weights,
+            table2_smae,
+            table3_training_time,
+            table4_validation_time,
+            fig5_fitted_models,
+            ext_rejuvenation_sweep,
+        ],
+        ids=lambda d: d.__name__.rsplit(".", 1)[-1],
+    )
+    def test_shared_input_prints_the_standalone_table(
+        self, driver, history, paper_f2pm, campaign, monkeypatch
+    ):
+        shared = dict(runall.paper_drivers(history, paper_f2pm))[driver]
+        monkeypatch.setattr(driver, "default_history", lambda: history)
+        standalone = run_quietly(driver, None, campaign).table()
+        fed = run_quietly(driver, shared, campaign).table()
+        if driver in (table3_training_time, table4_validation_time):
+            standalone, fed = mask_times(standalone), mask_times(fed)
+        assert fed == standalone
 
 
 class TestCommon:
     def test_campaign_key_stable(self):
-        from repro.experiments.common import DEFAULT_CAMPAIGN, _campaign_key
+        from repro.campaign.stages import history_name
+        from repro.experiments.common import DEFAULT_CAMPAIGN
 
-        assert _campaign_key(DEFAULT_CAMPAIGN) == _campaign_key(DEFAULT_CAMPAIGN)
+        assert history_name(DEFAULT_CAMPAIGN) == history_name(DEFAULT_CAMPAIGN)
 
     def test_history_disk_cache_roundtrip(self, tmp_path, monkeypatch, campaign):
         monkeypatch.setenv("F2PM_CACHE_DIR", str(tmp_path))
-        common._HISTORY_MEMO.clear()
         h1 = common.default_history(campaign)
         files = list(tmp_path.glob("*.npz"))
         assert len(files) == 1
-        common._HISTORY_MEMO.clear()
         h2 = common.default_history(campaign)  # now loaded from disk
         assert len(h2) == len(h1)
         assert np.array_equal(h2[0].features, h1[0].features)
-        common._HISTORY_MEMO.clear()
 
-    def test_in_process_memo_returns_same_object(self, tmp_path, monkeypatch, campaign):
-        monkeypatch.setenv("F2PM_CACHE_DIR", str(tmp_path))
-        common._HISTORY_MEMO.clear()
-        h1 = common.default_history(campaign)
-        h2 = common.default_history(campaign)
-        assert h1 is h2
-        common._HISTORY_MEMO.clear()
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_default_runs_is_one_error(self, value, tmp_path):
+        repo = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, F2PM_DEFAULT_RUNS=value, F2PM_CACHE_DIR=str(tmp_path))
+        env["PYTHONPATH"] = f"{repo / 'src'}{os.pathsep}{env.get('PYTHONPATH', '')}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "experiments"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: F2PM_DEFAULT_RUNS must be a positive integer, got {value!r}\n"
+        )
 
 
 class TestF2PMMemoKeying:
-    """Regression for the ``id(history)`` memo key: CPython reuses the
-    address of a collected object, so a dead campaign could alias a new
-    one and serve its stale F2PM result. The memo now keys by content."""
-
-    def test_id_aliasing_cannot_poison_the_memo(self, history):
-        import gc
-
-        from repro.core import DataHistory
-        from repro.experiments.common import run_f2pm_cached
-
-        h1 = DataHistory(runs=list(history.runs)[:2])
-        r1 = run_f2pm_cached(h1)
-        stale_id = id(h1)
-        del h1
-
-        # Force the aliasing: allocate fresh same-type objects until one
-        # lands on the dead history's address (CPython reuses it almost
-        # immediately; the loop is belt and braces).
-        h2 = None
-        for _ in range(512):
-            gc.collect()
-            candidate = DataHistory(runs=list(history.runs)[2:])
-            if id(candidate) == stale_id:
-                h2 = candidate
-                break
-            del candidate
-        if h2 is None:  # pragma: no cover - allocator refused to cooperate
-            h2 = DataHistory(runs=list(history.runs)[2:])
-
-        # Different content => different F2PM execution, aliased id or not.
-        r2 = run_f2pm_cached(h2)
-        assert r2 is not r1
-        assert r2.dataset.n_samples != r1.dataset.n_samples
-
-    def test_equal_content_shares_one_execution(self, history):
-        from repro.core import DataHistory
-        from repro.experiments.common import run_f2pm_cached
-
-        h1 = DataHistory(runs=list(history.runs))
-        h2 = DataHistory(runs=list(history.runs))
-        assert h1 is not h2
-        assert run_f2pm_cached(h1) is run_f2pm_cached(h2)
+    """The in-process F2PM memo this class guarded is gone; the scan
+    keeps identity- and repr-derived cache keys out of the source."""
 
     def test_no_identity_or_repr_cache_keys_in_source(self):
-        from pathlib import Path
-
         import repro
 
         src = Path(repro.__file__).parent

@@ -152,7 +152,7 @@ class TestRealConfigs:
 
     def test_no_repr_in_campaign_key(self):
         # Regression for the old scheme: the key must not depend on repr().
-        from repro.experiments.common import _campaign_key
+        from repro.campaign.stages import history_name
         from repro.system import CampaignConfig
 
         class Evil(CampaignConfig):
@@ -160,5 +160,5 @@ class TestRealConfigs:
                 raise AssertionError("cache key consulted repr()")
 
         cfg = Evil(n_runs=2, seed=1)
-        key = _campaign_key(cfg)
+        key = history_name(cfg)
         assert key.startswith("history_")

@@ -30,6 +30,49 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize(
+        "argv,defaults",
+        [
+            (["aggregate", "h"], {"output": "dataset.npz", "window": 20.0, "policy": None}),
+            (["select", "h"], {"window": 20.0, "min_features": 6}),
+            (
+                ["train", "h"],
+                {
+                    "window": 20.0, "models": "linear,m5p,reptree,svm2",
+                    "lasso_predictors": False, "smae_frac": 0.10, "seed": 0,
+                    "report": None, "save_model": None, "manifest": None,
+                },
+            ),
+            (["predict", "m", "h"], {"window": 20.0, "limit": 10}),
+            (
+                ["model", "compile", "m", "h"],
+                {
+                    "output": None, "window": 20.0, "budget": 128, "tol": None,
+                    "dtype": "float32", "smae_frac": 0.10, "val_fraction": 0.25,
+                    "seed": 0,
+                },
+            ),
+            (
+                ["rejuvenate"],
+                {
+                    "runs": 8, "horizon": 10_000.0, "window": 20.0, "seed": 0,
+                    "substrate": "fused", "compiled": False,
+                },
+            ),
+            (
+                ["fleet"],
+                {
+                    "nodes": 100, "horizon": 3000.0, "window": 20.0, "seed": 0,
+                    "capacity_floor": 0.8, "drain": 0.0, "compiled": False,
+                },
+            ),
+        ],
+        ids=["aggregate", "select", "train", "predict", "model-compile", "rejuvenate", "fleet"],
+    )
+    def test_defaults(self, argv, defaults):
+        args = vars(build_parser().parse_args(argv))
+        assert {name: args[name] for name in defaults} == defaults
+
 
 class TestSimulate:
     def test_writes_history(self, tmp_path, capsys):
