@@ -1,11 +1,11 @@
 """Observability overhead bench — the <5% guarantee, measured.
 
 The telemetry layer's claim is that a run may leave *everything* on —
-metrics, spans, the telemetry bus, the stage profiler, and a live JSONL
-exporter — and pay under 5% wall-clock over a fully dark run
-(``--no-obs``). This bench measures both configurations on the fused
-campaign and records the result into ``BENCH_obs_overhead.json``; CI's
-``obs-overhead`` job reruns it on every push.
+metrics, spans, the telemetry bus and a live JSONL exporter — and pay
+under 5% wall-clock over a fully dark run (``--no-obs``). This bench
+measures both configurations on the fused campaign and records the
+result into ``BENCH_obs_overhead.json``; CI's ``obs-overhead`` job
+reruns it on every push.
 
 Measurement discipline (the effect is a few percent, smaller than the
 raw run-to-run jitter of shared CI hardware, so the harness has to work
@@ -22,10 +22,6 @@ for its number):
 - **retry**: an over-ceiling reading triggers up to two fresh
   measurements (a real regression fails all of them; a noise spike does
   not survive three).
-
-The profiler's *self-measured* cost (``profile.overhead_seconds_total``)
-is recorded alongside as a cross-check: it must claim neither less than
-nothing nor more than the whole lit-run budget.
 """
 
 from __future__ import annotations
@@ -37,8 +33,6 @@ import time
 from pathlib import Path
 
 from repro import obs
-from repro.obs import get_metrics
-from repro.obs.profile import OVERHEAD_COUNTER
 from repro.obs.telemetry import JsonlExporter, get_telemetry
 from repro.system import TestbedSimulator
 
@@ -80,18 +74,16 @@ def _measure_once(campaign_config, tmp_path, attempt: int) -> dict:
         finally:
             obs.enable()
 
-    profiler_self_s = 0.0
     points_total = 0
 
     def lit() -> float:
-        nonlocal profiler_self_s, points_total
+        nonlocal points_total
         obs.reset()
         bus.add_sink(exporter)
         try:
             elapsed = _timed_campaign(campaign_config)
         finally:
             bus.remove_sink(exporter)
-        profiler_self_s = get_metrics().counter(OVERHEAD_COUNTER).value
         points_total = sum(bus.series(name).total for name in bus.names())
         return elapsed
 
@@ -109,17 +101,12 @@ def _measure_once(campaign_config, tmp_path, attempt: int) -> dict:
     return {
         "overhead_fraction": statistics.median(ratios) - 1.0,
         "pair_ratios": [round(r - 1.0, 4) for r in sorted(ratios)],
-        "profiler_self_reported_s": round(profiler_self_s, 6),
         "telemetry_points": points_total,
     }
 
 
 def test_full_telemetry_overhead_under_ceiling(campaign_config, tmp_path):
-    # Warm both paths (imports, numpy caches, profiler calibration)
-    # before anything is timed.
-    from repro.obs.profile import get_profiler
-
-    get_profiler()
+    # Warm both paths (imports, numpy caches) before anything is timed.
     TestbedSimulator(campaign_config).run_campaign(jobs=1)
 
     attempts = []
@@ -142,14 +129,11 @@ def test_full_telemetry_overhead_under_ceiling(campaign_config, tmp_path):
         "overhead_ceiling": OVERHEAD_CEILING,
         "pair_ratios": best["pair_ratios"],
         "telemetry_points": best["telemetry_points"],
-        "profiler_self_reported_s": best["profiler_self_reported_s"],
     }
     BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
 
-    # The instrumented run actually instrumented something, and the
-    # profiler's self-measurement is sane (non-negative, sub-budget).
+    # The instrumented run actually instrumented something.
     assert best["telemetry_points"] > 0
-    assert 0.0 <= best["profiler_self_reported_s"] < 60.0
 
     assert overhead < OVERHEAD_CEILING, (
         f"full telemetry costs {overhead:.1%} over a dark run in every "

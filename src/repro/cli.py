@@ -59,6 +59,7 @@ from repro.obs import configure_logging, get_logger, get_metrics, get_tracer, kv
 from repro.obs.trace import Span
 from repro.parallel import resolve_jobs
 from repro.system import CampaignConfig, MachineConfig, TestbedSimulator
+from repro.system.simulator import SUBSTRATES
 from repro.utils.tables import render_table
 
 _log = get_logger("cli")
@@ -935,8 +936,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
     p.add_argument(
         "--substrate",
-        choices=("fused", "loop"),
-        default="fused",
+        choices=SUBSTRATES,
+        default=CampaignConfig.substrate,
         help="simulation engine: event-fused fast path or the legacy "
         "per-tick loop (bit-identical output; see docs/PERFORMANCE.md)",
     )
@@ -1093,8 +1094,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--substrate",
-        choices=("fused", "loop"),
-        default="fused",
+        choices=SUBSTRATES,
+        default=CampaignConfig.substrate,
         help="simulation engine for the training campaign and the "
         "managed runs (bit-identical output; see docs/PERFORMANCE.md)",
     )

@@ -24,8 +24,7 @@ from repro.ml.metrics import (
     relative_absolute_error,
     soft_mean_absolute_error,
 )
-from repro.obs import get_logger, get_metrics, kv, span
-from repro.utils.timing import Timer
+from repro.obs import Span, get_logger, get_metrics, kv, span
 
 _log = get_logger("core.evaluation")
 
@@ -111,10 +110,12 @@ def evaluate_model(
     if train.feature_names != validation.feature_names:
         raise ValueError("train/validation feature sets differ")
     metrics = get_metrics()
+    # One clock per phase: its span's. NULL_SPAN is falsy, so with
+    # tracing off a detached span still times the phase.
     with span("evaluate", model=name, feature_set=feature_set) as sp:
-        with span("train"), Timer() as t_train:
+        with span("train") or Span("train") as t_train:
             model.fit(train.X, train.y)
-        with span("validate"), Timer() as t_val:
+        with span("validate") or Span("validate") as t_val:
             pred = model.predict(validation.X)
             mae = mean_absolute_error(validation.y, pred)
             rae = relative_absolute_error(validation.y, pred)
@@ -126,8 +127,9 @@ def evaluate_model(
             n_features=train.n_features,
             s_mae=float(s_mae),
         )
-    metrics.observe(f"model.fit_seconds.{name}", t_train.elapsed)
-    metrics.observe(f"model.predict_seconds.{name}", t_val.elapsed)
+    train_time, validation_time = t_train.duration, t_val.duration
+    metrics.observe(f"model.fit_seconds.{name}", train_time)
+    metrics.observe(f"model.predict_seconds.{name}", validation_time)
     _log.info(
         "model evaluated %s",
         kv(
@@ -135,8 +137,8 @@ def evaluate_model(
             feature_set=feature_set,
             mae=float(mae),
             s_mae=float(s_mae),
-            train_s=t_train.elapsed,
-            validate_s=t_val.elapsed,
+            train_s=train_time,
+            validate_s=validation_time,
         ),
     )
     report = ModelReport(
@@ -148,8 +150,8 @@ def evaluate_model(
         max_ae=max_ae,
         s_mae=s_mae,
         s_mae_threshold=smae_threshold,
-        train_time=t_train.elapsed,
-        validation_time=t_val.elapsed,
+        train_time=train_time,
+        validation_time=validation_time,
         capped=not solver_converged(model),
     )
     return report, model, pred

@@ -12,62 +12,17 @@ All learners follow the fit/predict convention:
 
 from __future__ import annotations
 
-import functools
 import inspect
-import time
 from abc import ABC, abstractmethod
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
-from repro.obs.metrics import get_metrics
 from repro.utils.validation import check_X_y
-
-
-def _timed(kind: str, cls_name: str, fn: Callable) -> Callable:
-    """Wrap a concrete fit/predict with a latency-histogram hook.
-
-    Records ``ml.{fit,predict}_seconds.<ClassName>`` on the process
-    registry (plus a served-prediction row counter for predict). When
-    metrics are disabled the hook is a single attribute check.
-    """
-
-    @functools.wraps(fn)
-    def wrapper(self, X, *args, **kwargs):  # noqa: ANN001 - mirrors fn
-        registry = get_metrics()
-        if not registry.enabled:
-            return fn(self, X, *args, **kwargs)
-        start = time.perf_counter()
-        out = fn(self, X, *args, **kwargs)
-        registry.observe(
-            f"ml.{kind}_seconds.{cls_name}", time.perf_counter() - start
-        )
-        if kind == "predict":
-            n_rows = getattr(X, "shape", (len(X),))[0]
-            registry.inc("ml.predictions_total", float(n_rows))
-        return out
-
-    wrapper._obs_wrapped = True  # type: ignore[attr-defined]
-    return wrapper
 
 
 class Regressor(ABC):
     """Abstract base class for all regression learners."""
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        # Timing hooks: every concrete fit/predict defined by a subclass
-        # is wrapped exactly once so per-model latency histograms come
-        # for free, without touching the learners themselves.
-        super().__init_subclass__(**kwargs)
-        for method in ("fit", "predict"):
-            impl = cls.__dict__.get(method)
-            if (
-                impl is not None
-                and callable(impl)
-                and not getattr(impl, "__isabstractmethod__", False)
-                and not getattr(impl, "_obs_wrapped", False)
-            ):
-                setattr(cls, method, _timed(method, cls.__name__, impl))
 
     @abstractmethod
     def fit(self, X: np.ndarray, y: np.ndarray) -> "Regressor":

@@ -18,9 +18,13 @@ Three cooperating primitives plus a packaging layer:
     Live time-series bus — bounded ring-buffer series + events the
     online layers emit into while running, with streaming JSONL and
     Prometheus-style exporters (``f2pm top`` watches the stream).
-:mod:`repro.obs.profile`
-    Per-stage wall/CPU profiler whose own cost is self-measured
-    (log-bucketed latency histograms on the hot paths).
+
+Timing
+------
+
+Two instruments time the program, and one clock reads each measured
+interval: spans time phases, and a hot path records one histogram in
+the registry from one ``perf_counter`` pair.
 
 The global switch
 -----------------
@@ -53,7 +57,6 @@ from repro.obs.manifest import (
     write_manifest,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, get_metrics
-from repro.obs.profile import StageProfiler, get_profiler
 from repro.obs.telemetry import (
     JsonlExporter,
     TelemetryBus,
@@ -87,8 +90,6 @@ __all__ = [
     "get_telemetry",
     "prometheus_text",
     "read_jsonl",
-    "StageProfiler",
-    "get_profiler",
     "MANIFEST_SCHEMA",
     "build_manifest",
     "jsonable",
@@ -111,7 +112,7 @@ def enable() -> None:
 
 def disable() -> None:
     """Turn tracing, metrics and telemetry off; instrumented code becomes
-    one-branch no-ops (the profiler follows the metrics switch)."""
+    one-branch no-ops."""
     get_tracer().disable()
     get_metrics().disable()
     get_telemetry().disable()

@@ -120,38 +120,6 @@ class Histogram:
         else:
             self._nonpositive += 1
 
-    def observe_many(self, values: Any) -> None:
-        """Observe a batch of values in one vectorized pass.
-
-        The bulk API for hot paths that buffer samples locally (e.g.
-        per-block timings in the fused engine) instead of paying a
-        Python-level :meth:`observe` per sample: binning happens with
-        one ``log2`` over the whole array. The resulting bucket counts
-        are identical to per-value observation; ``total`` may differ in
-        float rounding order (as any summation reordering does).
-        """
-        import numpy as np
-
-        arr = np.asarray(values, dtype=float)
-        n = int(arr.size)
-        if n == 0:
-            return
-        self.count += n
-        self.total += float(arr.sum())
-        self.min = min(self.min, float(arr.min()))
-        self.max = max(self.max, float(arr.max()))
-        pos = arr[arr > 0.0]
-        self._nonpositive += n - int(pos.size)
-        if pos.size:
-            idx = np.clip(
-                np.ceil(_BUCKETS_PER_OCTAVE * np.log2(pos)),
-                _MIN_BUCKET,
-                _MAX_BUCKET,
-            ).astype(np.int64)
-            uniq, counts = np.unique(idx, return_counts=True)
-            for i, c in zip(uniq.tolist(), counts.tolist()):
-                self._buckets[i] = self._buckets.get(i, 0) + c
-
     def quantile(self, q: float) -> float:
         """Approximate quantile from the log buckets (±~9% relative).
 
@@ -301,11 +269,6 @@ class MetricsRegistry:
         if not self._enabled:
             return
         self.histogram(name).observe(value)
-
-    def observe_many(self, name: str, values: Any) -> None:
-        if not self._enabled:
-            return
-        self.histogram(name).observe_many(values)
 
     # -- views -----------------------------------------------------------------
 

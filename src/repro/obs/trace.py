@@ -52,8 +52,8 @@ def _fmt_attr(value: Any) -> str:
 class Span:
     """One timed operation: name, wall-clock duration, attributes, children.
 
-    A span may be used standalone (``Timer`` is built on one) or through
-    a :class:`Tracer`, which links it into the span tree on ``__enter__``.
+    A span may be used standalone, as a bare timer, or through a
+    :class:`Tracer`, which links it into the span tree on ``__enter__``.
     ``duration`` reads live while the span is running and freezes at
     ``finish()``; re-starting a span resets the clock (restartable-timer
     semantics).

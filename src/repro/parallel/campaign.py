@@ -12,11 +12,12 @@ both in run-index order, so the campaign's metrics/spans/manifests are
 byte-for-byte what the serial path would have produced (modulo wall
 clocks).
 
-The execution substrate (``CampaignConfig.substrate``) rides along in
-the pickled config: each worker dispatches through
-``TestbedSimulator.run_once`` and hence runs the same fused/loop engine
-the serial path would, so ``jobs=N`` x fused stays bit-identical to
-``jobs=1`` x loop (``tests/system/test_substrate_equivalence.py``).
+Each worker runs the serial loop's own per-run body,
+``TestbedSimulator.run_indexed``. The execution substrate
+(``CampaignConfig.substrate``) rides along in the pickled config, so a
+worker runs the same fused/loop engine the serial path would, and
+``jobs=N`` x fused stays bit-identical to ``jobs=1`` x loop
+(``tests/system/test_substrate_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -27,36 +28,11 @@ import numpy as np
 
 from repro.parallel import telemetry
 from repro.parallel.pool import run_tasks
-from repro.obs import kv, span
-from repro.obs.logs import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (simulator imports us)
     from repro.core.history import RunRecord
     from repro.store.checkpoint import CampaignCheckpoint
     from repro.system.simulator import TestbedSimulator
-
-_log = get_logger("parallel.campaign")
-
-
-def emit_run_series(index: int, record: "RunRecord") -> None:
-    """Publish one run's summary points to the telemetry bus.
-
-    Indexed by run number (the campaign's natural x-axis) and emitted
-    identically by the serial loop and by each worker task, so the
-    merged bus is **bit-identical for any worker count**: each task's
-    emission count is far below the ring capacity (three points per
-    run), hence every worker dump is lossless, and the parent replays
-    dumps in run-index order — exactly the serial emission sequence.
-    """
-    from repro.obs import get_telemetry
-
-    bus = get_telemetry()
-    if not bus.enabled:
-        return
-    t = float(index)
-    bus.emit("sim.run_seconds", t, record.fail_time)
-    bus.emit("sim.run_datapoints", t, float(record.n_datapoints))
-    bus.emit("sim.run_crashed", t, float(record.metadata.get("crashed", 0.0)))
 
 
 def _campaign_task(payload: dict[str, Any]) -> tuple:
@@ -68,15 +44,7 @@ def _campaign_task(payload: dict[str, Any]) -> tuple:
     )
     telemetry.begin_capture()
     simulator = TestbedSimulator(payload["config"], payload["failure_condition"])
-    index = payload["index"]
-    with span("simulate.run", index=index) as sp:
-        record = simulator.run_once(payload["rng"])
-        sp.set(
-            datapoints=record.n_datapoints,
-            fail_time=record.fail_time,
-            crashed=bool(record.metadata.get("crashed", 0.0)),
-        )
-    emit_run_series(index, record)
+    record = simulator.run_indexed(payload["index"], payload["rng"])
     return record, telemetry.collect()
 
 
@@ -117,18 +85,9 @@ def run_campaign_parallel(
         labels=[f"campaign run {start_index + i}" for i in range(len(payloads))],
     )
     records: "list[RunRecord]" = []
-    for i, (record, task_telemetry) in enumerate(outcomes):
+    for record, task_telemetry in outcomes:
         telemetry.merge(task_telemetry)
         records.append(record)
-        _log.info(
-            "run complete %s",
-            kv(
-                run=start_index + i,
-                datapoints=record.n_datapoints,
-                fail_time=record.fail_time,
-                crashed=bool(record.metadata.get("crashed", 0.0)),
-            ),
-        )
     return records
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -986,7 +987,6 @@ class FleetController:
 
     def _run(self, fcfg, mcfg, log, rngs) -> FleetRunLog:
         from repro.obs import get_telemetry
-        from repro.obs.profile import get_profiler
 
         n = fcfg.n_nodes
         self.source.bind(rngs, mcfg.horizon_seconds)
@@ -1002,7 +1002,6 @@ class FleetController:
         )
         bus = get_telemetry()
         metrics = get_metrics()
-        profiler = get_profiler()
 
         status = np.full(n, NODE_LIVE, dtype=np.int8)
         walls = np.zeros(n, dtype=np.float64)
@@ -1196,10 +1195,11 @@ class FleetController:
                         else np.inf
                     )
                 if score_ids.size:
-                    with profiler.stage("fleet.predict"):
-                        trig, preds, _lbs = plane.consult(
-                            score_ids, X, nows[score_ids]
-                        )
+                    t_predict = perf_counter()
+                    trig, preds, _lbs = plane.consult(score_ids, X, nows[score_ids])
+                    metrics.observe(
+                        "fleet.predict_seconds", perf_counter() - t_predict
+                    )
                     log.scoring_calls += 1
                     log.scored_rows += int(score_ids.size)
                     ok = ~np.isnan(preds)

@@ -56,7 +56,6 @@ arithmetic is fused.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
@@ -88,10 +87,6 @@ class FusedBlocks(NamedTuple):
     blocks: int
     ticks: int
     gap_ticks: int
-    #: Ticks per block, and the wall time of every 8th block; both empty
-    #: unless the episode was ``timed``.
-    block_ticks: list
-    block_seconds: list
 
 
 def run_once_fused(
@@ -107,13 +102,7 @@ def run_once_fused(
     caller (:meth:`TestbedSimulator.run_once`) guarantees it is not None.
     """
     metrics = get_metrics()
-    episode = fused_episode(
-        cfg,
-        limits,
-        rng.spawn(5),
-        max_run=cfg.max_run_seconds,
-        timed=metrics.enabled,
-    )
+    episode = fused_episode(cfg, limits, rng.spawn(5), max_run=cfg.max_run_seconds)
     with span("simulate.run.fused", substrate="fused") as run_sp:
         record, blocks = record_episode(episode, cfg.max_run_seconds)
         run_sp.set(
@@ -125,17 +114,9 @@ def run_once_fused(
         )
     metrics.inc("sim.fused_runs_total")
     metrics.inc("sim.fused_blocks_total", blocks.blocks)
-    # Per-block samples are binned in one vectorized pass per run: a
-    # Python-level histogram observe per block was the dominant cost of
-    # leaving observability on.
-    if blocks.block_ticks:
-        metrics.observe_many("sim.fused_block_ticks", blocks.block_ticks)
-        metrics.observe_many("sim.fused_block_seconds", blocks.block_seconds)
-    # Per-run summary points for the live bus (the per-block latency and
-    # block-size *distributions* live in the log-bucketed histograms
-    # above, which merge bucket-exactly across workers). One point per
-    # run keeps every worker's buffer lossless, preserving the
-    # bit-identical-merge guarantee for any worker count.
+    # Per-run summary points for the live bus. One point per run keeps
+    # every worker's buffer lossless, preserving the bit-identical-merge
+    # guarantee for any worker count.
     bus = get_telemetry()
     if bus.enabled:
         bus.emit("sim.fused_blocks", record.fail_time, float(blocks.blocks))
@@ -154,15 +135,13 @@ def fused_episode(
     *,
     t0: float = 0.0,
     max_run: float = _INF,
-    timed: bool = False,
 ):
     """The fused engine as a resumable episode (the event contract is in
     :mod:`repro.system.simulator`).
 
     ``streams`` is ``(r_profile, r_pool, r_server, r_monitor, r_inject)``;
     ``r_inject`` is only read when an injector is on. The episode returns
-    ``(totals, FusedBlocks)``; ``timed`` also logs every block's size and
-    times every 8th block.
+    ``(totals, FusedBlocks)``.
     """
     mem_limit, rt_limit, gen_limit = limits
     machine = cfg.machine
@@ -276,30 +255,13 @@ def fused_episode(
     block_ticks = 0
     total_ticks = 0
     gap_ticks = 0
-    block_t0 = time.perf_counter() if timed else 0.0
-
-    # Per-block samples are buffered locally for the caller to bin in
-    # one vectorized pass at run end (`observe_many`). Block *sizes*
-    # (ticks) stay exact and clock-free; block *durations* are sampled —
-    # one block in 8 is individually timed (two clock reads bracketing
-    # just that block), keeping the wall-clock histogram honest per-block
-    # while the hot path pays a branch on the rest.
-    block_ticks_log: list[int] = []
-    block_secs_log: list[float] = []
 
     def _close_block() -> None:
         """An event (sample / injector firing / run end) ends a block."""
-        nonlocal n_blocks, block_ticks, block_t0
-        if block_ticks == 0:
-            return
-        n_blocks += 1
-        if timed:
-            block_ticks_log.append(block_ticks)
-            if not n_blocks & 7:  # open a timed block (closes next call)
-                block_t0 = time.perf_counter()
-            elif n_blocks & 7 == 1 and n_blocks > 1:
-                block_secs_log.append(time.perf_counter() - block_t0)
-        block_ticks = 0
+        nonlocal n_blocks, block_ticks
+        if block_ticks:
+            n_blocks += 1
+            block_ticks = 0
 
     while now < max_run:
         # ---- load schedule (evaluated at tick start, like the loop) --
@@ -654,6 +616,4 @@ def fused_episode(
 
     _close_block()
     totals = run_totals(profile, home_leaked_kb, home_threads, total_completed)
-    return totals, FusedBlocks(
-        n_blocks, total_ticks, gap_ticks, block_ticks_log, block_secs_log
-    )
+    return totals, FusedBlocks(n_blocks, total_ticks, gap_ticks)

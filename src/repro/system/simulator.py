@@ -22,7 +22,6 @@ fleet's ``SimulatedFleetSource`` resumes one per node.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +52,9 @@ from repro.store.checkpoint import CHECKPOINT_EVERY, CampaignCheckpoint
 from repro.utils.rng import as_rng
 
 _log = get_logger("system.simulator")
+
+#: The execution substrates, as :attr:`CampaignConfig.substrate` names them.
+SUBSTRATES = ("fused", "loop")
 
 
 @dataclass(frozen=True)
@@ -130,10 +132,9 @@ class CampaignConfig:
             raise ValueError(
                 f"max_run_seconds must be positive, got {self.max_run_seconds}"
             )
-        if self.substrate not in ("fused", "loop"):
-            raise ValueError(
-                f'substrate must be "fused" or "loop", got {self.substrate!r}'
-            )
+        if self.substrate not in SUBSTRATES:
+            names = " or ".join(f'"{name}"' for name in SUBSTRATES)
+            raise ValueError(f"substrate must be {names}, got {self.substrate!r}")
         for name in ("p_leak_range", "p_thread_range"):
             lo, hi = getattr(self, name)
             if not 0.0 <= lo <= hi <= 1.0:
@@ -300,14 +301,11 @@ def loop_episode(
     *,
     t0: float = 0.0,
     max_run: float = float("inf"),
-    profiler=None,
 ):
     """The per-tick object-graph episode: the fused engine's oracle.
 
     ``streams`` is ``(r_profile, r_pool, r_server, r_monitor, r_inject)``;
-    ``r_inject`` is only read when an injector is on. A ``profiler``
-    (:class:`repro.obs.profile.StageProfiler`) times every 64th tick into
-    ``sim.tick``.
+    ``r_inject`` is only read when an injector is on.
     """
     r_profile, r_pool, r_server, r_monitor, r_inject = streams
     server = boot_server(cfg, r_profile, r_pool, r_server)
@@ -322,16 +320,9 @@ def loop_episode(
     # Exponentially-weighted mean RT: the "mean client response time"
     # a failure condition may inspect.
     ewma_rt = 0.0
-    tick_index = 0
     while now < max_run:
         fraction = schedule.active_fraction(t0 + now)
-        if profiler is not None and not tick_index & 63:
-            t_start = time.perf_counter()
-            stats = server.tick(now, dt, fraction)
-            profiler.record("sim.tick", time.perf_counter() - t_start)
-        else:
-            stats = server.tick(now, dt, fraction)
-        tick_index += 1
+        stats = server.tick(now, dt, fraction)
         now += dt
         if stats.n_completed > 0:
             ewma_rt += 0.2 * (stats.mean_response_time - ewma_rt)
@@ -465,19 +456,36 @@ class TestbedSimulator:
 
     def _run_once_loop(self, rng: np.random.Generator) -> RunRecord:
         """Drive the loop episode — the fused engine's oracle — for one run."""
-        from repro.obs.profile import get_profiler
-
         cfg = self.config
-        profiler = get_profiler()
         # Independent streams per component (paper: uncorrelated draws).
         episode = loop_episode(
-            cfg,
-            self.failure_condition,
-            rng.spawn(5),
-            max_run=cfg.max_run_seconds,
-            profiler=profiler if profiler.enabled else None,
+            cfg, self.failure_condition, rng.spawn(5), max_run=cfg.max_run_seconds
         )
         record, _ = record_episode(episode, cfg.max_run_seconds)
+        return record
+
+    def run_indexed(self, index: int, rng: np.random.Generator) -> RunRecord:
+        """Run ``index`` of a campaign: :meth:`run_once` inside its
+        ``simulate.run`` span, then the run's summary points on the bus.
+
+        The serial loop and each worker task run this same body. Bus
+        points are indexed by run number, three per run, so every worker
+        dump is lossless and the parent's index-ordered replay is exactly
+        the serial emission sequence, for any worker count.
+        """
+        with span("simulate.run", index=index) as run_sp:
+            record = self.run_once(rng)
+            run_sp.set(
+                datapoints=record.n_datapoints,
+                fail_time=record.fail_time,
+                crashed=bool(record.metadata.get("crashed", 0.0)),
+            )
+        bus = get_telemetry()
+        if bus.enabled:
+            t = float(index)
+            bus.emit("sim.run_seconds", t, record.fail_time)
+            bus.emit("sim.run_datapoints", t, float(record.n_datapoints))
+            bus.emit("sim.run_crashed", t, float(record.metadata.get("crashed", 0.0)))
         return record
 
     def run_many(
@@ -498,21 +506,15 @@ class TestbedSimulator:
         if jobs > 1 and len(rngs) > 1:
             from repro.parallel.campaign import run_campaign_parallel
 
-            return run_campaign_parallel(
+            runs = run_campaign_parallel(
                 self, list(rngs), jobs=jobs, start_index=start_index
             )
-        from repro.parallel.campaign import emit_run_series
-
+        else:
+            runs = (
+                self.run_indexed(i, rng) for i, rng in enumerate(rngs, start_index)
+            )
         records: list[RunRecord] = []
-        for i, run_rng in enumerate(rngs, start=start_index):
-            with span("simulate.run", index=i) as run_sp:
-                record = self.run_once(run_rng)
-                run_sp.set(
-                    datapoints=record.n_datapoints,
-                    fail_time=record.fail_time,
-                    crashed=bool(record.metadata.get("crashed", 0.0)),
-                )
-            emit_run_series(i, record)
+        for i, record in enumerate(runs, start_index):
             records.append(record)
             _log.info(
                 "run complete %s",

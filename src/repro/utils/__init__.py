@@ -1,7 +1,6 @@
-"""Shared infrastructure: seeded RNG streams, timers, validation, tables."""
+"""Shared infrastructure: seeded RNG streams, validation, tables."""
 
 from repro.utils.rng import spawn_rng, as_rng
-from repro.utils.timing import Timer
 from repro.utils.validation import (
     check_array,
     check_X_y,
@@ -13,7 +12,6 @@ from repro.utils.tables import render_table
 __all__ = [
     "spawn_rng",
     "as_rng",
-    "Timer",
     "check_array",
     "check_X_y",
     "check_consistent_length",

@@ -1,15 +1,33 @@
 """Tests for model evaluation (repro.core.evaluation)."""
 
+from collections import defaultdict
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.core import F2PM
 from repro.core.dataset import TrainingSet
 from repro.core.evaluation import (
     ModelReport,
     evaluate_model,
     resolve_smae_threshold,
 )
+from repro.experiments.common import default_f2pm_config
 from repro.ml.linear import LinearRegression
+from repro.obs import get_metrics
+from repro.rejuvenation import (
+    FleetConfig,
+    FleetController,
+    ManagedSystemConfig,
+    PredictiveRejuvenation,
+    SyntheticFleetSource,
+    SyntheticFleetSpec,
+)
+from repro.system import TestbedSimulator
+from repro.system.simulator import SUBSTRATES
+from tests.conftest import small_campaign
 
 
 @pytest.fixture
@@ -93,3 +111,61 @@ class TestEvaluateModel:
             "linear", LinearRegression(), train, val, smae_threshold=1.0
         )
         assert len(report.row()) == len(ModelReport.HEADERS)
+
+
+@pytest.fixture(scope="module")
+def instrumented(history):
+    """A default F2PM run, a campaign on each substrate and a predictive
+    fleet, recorded on one fresh registry."""
+    obs.reset()
+    result = F2PM(default_f2pm_config()).run(history)
+    for substrate in SUBSTRATES:
+        campaign = replace(small_campaign(n_runs=2), substrate=substrate)
+        TestbedSimulator(campaign).run_campaign()
+    FleetController(
+        SyntheticFleetSource(SyntheticFleetSpec()),
+        ManagedSystemConfig(horizon_seconds=2000.0, window_seconds=20.0),
+        PredictiveRejuvenation(result.models[("m5p", "all")], rttf_margin=150.0),
+        FleetConfig(n_nodes=4),
+    ).run(seed=0)
+    return result, get_metrics().snapshot()
+
+
+class TestOneClockPerInterval:
+    """One clock reads each measured interval: the phase's span clock
+    feeds its histogram and the report."""
+
+    def test_times_phases_with_obs_off(self, train_val):
+        train, val = train_val
+        obs.disable()
+        try:
+            report, _, _ = evaluate_model(
+                "linear", LinearRegression(), train, val, smae_threshold=1.0
+            )
+        finally:
+            obs.enable()
+        assert report.train_time > 0.0
+        assert report.validation_time > 0.0
+
+    def test_fit_histograms_sum_the_report_train_times(self, instrumented):
+        result, snap = instrumented
+        train_times = defaultdict(list)
+        for report in result.reports:
+            train_times[report.name].append(report.train_time)
+        for name, times in train_times.items():
+            fit = snap["histograms"][f"model.fit_seconds.{name}"]
+            assert fit["count"] == len(times)
+            assert fit["total"] == sum(times)
+
+    def test_no_second_clock_is_recorded(self, instrumented):
+        _, snap = instrumented
+        names = [name for kind in snap.values() for name in kind]
+        assert "fleet.predict_seconds" in names
+        assert "ml.predictions_total" not in names
+        assert not [
+            name
+            for name in names
+            if name.startswith(
+                ("profile.", "ml.fit_seconds.", "ml.predict_seconds.", "sim.fused_block_")
+            )
+        ]

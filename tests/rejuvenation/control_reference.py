@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -455,13 +456,11 @@ class ReferenceManagedSystem:
     def _run_episodes(self, cfg, mcfg, rng, log, aggregator, metrics) -> ManagedRunLog:
         """Episode loop of :meth:`run` (split out for span bookkeeping)."""
         from repro.obs import get_telemetry
-        from repro.obs.profile import get_profiler
 
         wall = 0.0  # global wall clock (uptime + downtime)
         sanitizer = StreamSanitizer(self.sanitize_config)
         staleness = mcfg.resolved_staleness_timeout
         bus = get_telemetry()
-        profiler = get_profiler()
         while wall < mcfg.horizon_seconds:
             # -- boot a fresh episode ---------------------------------------
             r_profile, r_pool, r_server, r_monitor = rng.spawn(4)
@@ -551,10 +550,9 @@ class ReferenceManagedSystem:
                     if window is not None:
                         last_window = window
                         last_window_time = now
-                        with profiler.stage("controller.predict"):
-                            trigger = self.policy.should_rejuvenate(
-                                window, run_age=now
-                            )
+                        trigger = self.policy.should_rejuvenate(
+                            window, run_age=now
+                        )
                         last_pred = getattr(self.policy, "last_prediction", None)
                         if last_pred is not None:
                             bus.emit("controller.predicted_rttf", t_abs, last_pred)
@@ -595,10 +593,9 @@ class ReferenceManagedSystem:
                                 stale_for_s=now - last_window_time,
                             ),
                         )
-                        with profiler.stage("controller.predict"):
-                            trigger = self.policy.should_rejuvenate(
-                                last_window, run_age=now
-                            )
+                        trigger = self.policy.should_rejuvenate(
+                            last_window, run_age=now
+                        )
                         # A held consult is still a prediction: record it
                         # exactly like the normal path, so the truth series
                         # (controller.actual_rttf / rttf_error) covers the
@@ -750,7 +747,6 @@ class ReferenceFleetController(FleetController):
 
     def _run(self, fcfg, mcfg, log, rngs) -> FleetRunLog:
         from repro.obs import get_telemetry
-        from repro.obs.profile import get_profiler
 
         n = fcfg.n_nodes
         self.source.bind(rngs, mcfg.horizon_seconds)
@@ -766,7 +762,6 @@ class ReferenceFleetController(FleetController):
         )
         bus = get_telemetry()
         metrics = get_metrics()
-        profiler = get_profiler()
 
         status = np.full(n, NODE_LIVE, dtype=np.int8)
         walls = np.zeros(n, dtype=np.float64)
@@ -916,10 +911,13 @@ class ReferenceFleetController(FleetController):
                 else:
                     score_ids, X = consult_ids, comp_w[fresh]
                 if score_ids.size:
-                    with profiler.stage("fleet.predict"):
-                        trig, preds, _lbs = plane.consult(
-                            score_ids, X, nows[score_ids]
-                        )
+                    t_predict = perf_counter()
+                    trig, preds, _lbs = plane.consult(
+                        score_ids, X, nows[score_ids]
+                    )
+                    metrics.observe(
+                        "fleet.predict_seconds", perf_counter() - t_predict
+                    )
                     log.scoring_calls += 1
                     log.scored_rows += int(score_ids.size)
                     ok = ~np.isnan(preds)

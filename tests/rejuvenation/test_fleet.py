@@ -458,6 +458,8 @@ class TestFleetTelemetry:
         assert fl.scoring_calls > 0
         # batching: strictly fewer model calls than rows scored
         assert fl.scored_rows > fl.scoring_calls
+        predict = get_metrics().snapshot()["histograms"]["fleet.predict_seconds"]
+        assert predict["count"] == fl.scoring_calls
 
     @pytest.mark.parametrize("inputs", ["fused", "fallback", "loop"])
     def test_simulated_fleet_counter_deltas(self, inputs):

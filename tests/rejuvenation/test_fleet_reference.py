@@ -243,12 +243,7 @@ def observe(case, models, seed, reference):
     return {
         "log": log,
         "telemetry": get_telemetry().snapshot(),
-        # The profiler's own cost and latencies are clock readings.
-        "counters": {
-            k: v
-            for k, v in metrics["counters"].items()
-            if k != "profile.overhead_seconds_total"
-        },
+        "counters": metrics["counters"],
         "histogram_counts": {k: h["count"] for k, h in metrics["histograms"].items()},
     }
 

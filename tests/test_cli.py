@@ -1,5 +1,6 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import argparse
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core import DataHistory
+from repro.system.simulator import SUBSTRATES, CampaignConfig
 
 
 @pytest.fixture
@@ -72,6 +74,20 @@ class TestParser:
     def test_defaults(self, argv, defaults):
         args = vars(build_parser().parse_args(argv))
         assert {name: args[name] for name in defaults} == defaults
+
+    @pytest.mark.parametrize("command", ["simulate", "rejuvenate"])
+    def test_substrate_flag_reads_the_config(self, command):
+        parser = build_parser()
+        commands = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        flag = next(
+            a
+            for a in commands.choices[command]._actions
+            if "--substrate" in a.option_strings
+        )
+        assert flag.default == CampaignConfig.substrate
+        assert tuple(flag.choices) == SUBSTRATES
 
 
 class TestSimulate:
