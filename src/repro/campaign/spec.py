@@ -5,8 +5,8 @@ A :class:`CampaignSpec` names the *content* of an experimental campaign
 fields, crossed with campaign seeds, plus the analysis parameters of the
 staged pipeline (aggregation window, sanitize policy, model grid) — and
 nothing about *how* it executes. Execution strategy (worker counts,
-substrate, which driver process runs which cell) never appears in a
-fingerprint, so artifacts cache-hit across all of them.
+which process runs which cell) never appears in a fingerprint, so
+artifacts cache-hit across all of them.
 
 The spec enumerates its grid as :class:`CampaignCell` objects, one per
 (grid point x seed). Each cell resolves to a concrete ``CampaignConfig``
@@ -55,8 +55,8 @@ _SCHEDULE_TYPES = {
 STAGES = ("simulate", "aggregate", "train", "evaluate")
 
 #: CampaignConfig fields a spec may not grid over: seeds have their own
-#: axis (``seeds``), and the substrate is execution strategy, not content.
-_RESERVED_AXES = frozenset({"seed", "substrate"})
+#: axis (``seeds``).
+_RESERVED_AXES = frozenset({"seed"})
 
 #: Axes that are spec vocabulary rather than ``CampaignConfig`` fields.
 #: ``scenario`` values are catalog names (:mod:`repro.scenarios`)
@@ -187,9 +187,6 @@ class CampaignSpec:
         :data:`STAGES` order is not required, but execution sorts them).
     window_seconds / sanitize : aggregation-stage parameters.
     models / train_seed : train/evaluate-stage parameters.
-    substrate : execution engine override for every cell (``None`` keeps
-        the base's); excluded from fingerprints like
-        ``CampaignConfig.substrate`` itself.
     """
 
     name: str = "campaign"
@@ -202,11 +199,9 @@ class CampaignSpec:
     models: tuple[str, ...] = ("linear", "m5p", "reptree")
     train_seed: int = 0
 
-    substrate: "str | None" = None
-
-    #: ``name`` is a label, ``substrate`` execution strategy: neither is
-    #: campaign *content*, so the spec fingerprint skips both.
-    __key_exclude__ = frozenset({"name", "substrate"})
+    #: ``name`` is a label, not campaign *content*, so the spec
+    #: fingerprint skips it.
+    __key_exclude__ = frozenset({"name"})
 
     def __post_init__(self) -> None:
         axes = self.axes
@@ -222,8 +217,7 @@ class CampaignSpec:
                 )
             if axis_name in _RESERVED_AXES:
                 raise ValueError(
-                    f"axis {axis_name!r} is reserved: use `seeds` for seeds; "
-                    "the substrate is execution strategy, not a grid axis"
+                    f"axis {axis_name!r} is reserved: use `seeds` for seeds"
                 )
             values = tuple(values)
             if not values:
@@ -282,8 +276,6 @@ class CampaignSpec:
                 cell_base = resolve_scenario(scenario_name, self.base)
             else:
                 cell_base = self.base
-            if self.substrate is not None:
-                overrides["substrate"] = self.substrate
             for seed in seeds:
                 config = replace(cell_base, seed=int(seed), **overrides)
                 cells.append(
@@ -321,8 +313,6 @@ class CampaignSpec:
             doc["sanitize"] = self.sanitize
         doc["models"] = list(self.models)
         doc["train_seed"] = self.train_seed
-        if self.substrate is not None:
-            doc["substrate"] = self.substrate
         return doc
 
     @classmethod
@@ -335,7 +325,9 @@ class CampaignSpec:
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown spec fields: {sorted(unknown)}")
-        base_doc = doc.get("base", {})
+        # Only the keys the document names; the dataclass supplies the rest.
+        kwargs: dict[str, Any] = dict(doc)
+        base_doc = kwargs.pop("base", {})
         if not isinstance(base_doc, Mapping):
             raise ValueError("spec `base` must be a mapping of CampaignConfig fields")
         overrides = {}
@@ -343,22 +335,12 @@ class CampaignSpec:
             if field_name not in _CONFIG_FIELDS:
                 raise ValueError(f"unknown CampaignConfig field {field_name!r} in base")
             overrides[field_name] = _coerce_value(field_name, value)
-        base = replace(CampaignConfig(), **overrides) if overrides else CampaignConfig()
-        axes = doc.get("axes", ())
-        if isinstance(axes, Mapping):
-            axes = tuple((k, tuple(v)) for k, v in axes.items())
-        kwargs: dict[str, Any] = {
-            "name": doc.get("name", "campaign"),
-            "base": base,
-            "axes": axes,
-            "seeds": tuple(doc.get("seeds", ())),
-            "stages": tuple(doc.get("stages", ("simulate",))),
-            "window_seconds": float(doc.get("window_seconds", 30.0)),
-            "sanitize": doc.get("sanitize"),
-            "models": tuple(doc.get("models", ("linear", "m5p", "reptree"))),
-            "train_seed": int(doc.get("train_seed", 0)),
-            "substrate": doc.get("substrate"),
-        }
+        if overrides:
+            kwargs["base"] = replace(CampaignConfig(), **overrides)
+        # JSON spells 30 and 30.0 alike; the fingerprint does not.
+        for key, kind in (("window_seconds", float), ("train_seed", int)):
+            if key in kwargs:
+                kwargs[key] = kind(kwargs[key])
         return cls(**kwargs)
 
     def to_json(self) -> str:

@@ -234,7 +234,6 @@ def _f2pm_config(spec: "CampaignSpec") -> F2PMConfig:
         sanitize=spec.sanitize,
         models=spec.models,
         lasso_predictor_lambdas=(),
-        smae_threshold_frac=0.10,
         seed=spec.train_seed,
     )
 

@@ -16,12 +16,14 @@ cache           inspect/maintain the artifact store (ls, info, gc, clear)
 campaign        plan/run/report a declarative campaign spec (run-missing)
 ==============  ========================================================
 
-Every command accepts ``--seed`` for reproducibility; campaign sizing
-flags default to the small demonstration VM so commands finish quickly.
+Every command that draws random numbers accepts ``--seed``. A flag
+backed by a config field reads its default from that field, except the
+demonstration defaults (``DEMO_WINDOW``, ``DEMO_RUNS``, ...) that size
+commands to finish quickly on the small demonstration VM.
 The commands that simulate campaigns or train model grids (simulate,
-train, experiments, rejuvenate) accept ``--jobs N`` (default: all
-cores) to fan the work out to worker processes — outputs are identical
-for any worker count (see ``docs/PARALLELISM.md``).
+train, experiments, rejuvenate, campaign run) accept ``--jobs N``
+(default: all cores) to fan the work out to worker processes — outputs
+are identical for any worker count (see ``docs/PARALLELISM.md``).
 
 Observability flags (valid after any command): ``-v`` / ``-vv`` raise
 the log level of the ``repro`` logger hierarchy to INFO / DEBUG,
@@ -59,13 +61,30 @@ from repro.obs import configure_logging, get_logger, get_metrics, get_tracer, kv
 from repro.obs.trace import Span
 from repro.parallel import resolve_jobs
 from repro.system import CampaignConfig, MachineConfig, TestbedSimulator
-from repro.system.simulator import SUBSTRATES
 from repro.utils.tables import render_table
 
 _log = get_logger("cli")
 
 #: Aggregation window (seconds) of the analysis commands' ``--window``.
 DEMO_WINDOW = 20.0
+#: Campaign size (``--runs``) of ``simulate`` and ``rejuvenate``.
+DEMO_RUNS = 8
+
+#: The compile gate of ``model compile`` and ``rejuvenate --compiled``:
+#: its held-out fraction, and its tolerance as a fraction of the S-MAE
+#: threshold.
+COMPILE_VAL_FRACTION = 0.25
+COMPILE_TOL_FRAC = 0.10
+
+#: Anomaly-injector switches of ``simulate``: ``CampaignConfig`` field ->
+#: (flag, the anomaly family it enables).
+INJECTOR_FLAGS = {
+    "use_time_injectors": ("--time-injectors", "Sec. III-E time-based leak/thread storms"),
+    "use_lock_injector": ("--lock-injector", "stuck application locks"),
+    "use_fd_injector": ("--fd-injector", "fd/socket leaks"),
+    "use_conn_injector": ("--conn-injector", "connection-pool depletion"),
+    "use_frag_injector": ("--frag-injector", "heap fragmentation"),
+}
 
 
 def demo_machine() -> MachineConfig:
@@ -122,18 +141,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         config = replace(config, n_browsers=args.browsers)
     if args.max_run is not None:
         config = replace(config, max_run_seconds=args.max_run)
-    injector_flags = {
-        "time_injectors": "use_time_injectors",
-        "lock_injector": "use_lock_injector",
-        "fd_injector": "use_fd_injector",
-        "conn_injector": "use_conn_injector",
-        "frag_injector": "use_frag_injector",
-    }
-    enabled = {
-        field: True
-        for flag, field in injector_flags.items()
-        if getattr(args, flag)
-    }
+    enabled = {field: True for field in INJECTOR_FLAGS if getattr(args, field)}
     if enabled:
         config = replace(config, **enabled)
     if args.failure is not None:
@@ -141,7 +149,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             config = replace(config, failure=args.failure)
         except ValueError as exc:
             raise SystemExit(f"error: {exc}")
-    config = replace(config, substrate=args.substrate)
     history = TestbedSimulator(config).run_campaign(jobs=resolve_jobs(args.jobs))
     history.save(args.output)
     print(
@@ -384,12 +391,38 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+def _gated_compile(
+    model,
+    dataset,
+    smae_threshold: float,
+    *,
+    seed: int,
+    val_fraction: float = COMPILE_VAL_FRACTION,
+    tol: "float | None" = None,
+    **options,
+):
+    """``compile_predictor`` gated on a held-out split of ``dataset``;
+    ``tol`` defaults to ``COMPILE_TOL_FRAC`` of the S-MAE threshold."""
+    from repro.ml.model_selection import train_test_split
+    from repro.ml.serving import compile_predictor
+
+    _, X_val, _, y_val = train_test_split(
+        dataset.X, dataset.y, test_size=val_fraction, seed=seed
+    )
+    return compile_predictor(
+        model,
+        tol=COMPILE_TOL_FRAC * smae_threshold if tol is None else tol,
+        X_val=X_val,
+        y_val=y_val,
+        smae_threshold=smae_threshold,
+        **options,
+    )
+
+
 def cmd_model(args: argparse.Namespace) -> int:
     from repro.core import AggregationConfig, aggregate_history
     from repro.core.evaluation import resolve_smae_threshold
     from repro.core.persistence import load_model, save_model
-    from repro.ml.model_selection import train_test_split
-    from repro.ml.serving import compile_predictor
 
     try:
         envelope = load_model(args.model)
@@ -405,17 +438,14 @@ def cmd_model(args: argparse.Namespace) -> int:
     smae_threshold = resolve_smae_threshold(
         None, args.smae_frac, history.mean_run_length
     )
-    tol = args.tol if args.tol is not None else 0.10 * smae_threshold
-    _, X_val, _, y_val = train_test_split(
-        dataset.X, dataset.y, test_size=args.val_fraction, seed=args.seed
-    )
-    compiled = compile_predictor(
+    compiled = _gated_compile(
         envelope.model,
+        dataset,
+        smae_threshold,
+        seed=args.seed,
+        val_fraction=args.val_fraction,
+        tol=args.tol,
         budget=args.budget,
-        tol=tol,
-        X_val=X_val,
-        y_val=y_val,
-        smae_threshold=smae_threshold,
         dtype=args.dtype,
         landmark_seed=args.seed,
     )
@@ -728,7 +758,6 @@ def cmd_rejuvenate(args: argparse.Namespace) -> int:
 
     jobs = resolve_jobs(args.jobs)
     campaign = demo_campaign(args.runs, args.seed)
-    campaign = replace(campaign, substrate=args.substrate)
     history = TestbedSimulator(campaign).run_campaign(jobs=jobs)
     f2pm = F2PM(
         F2PMConfig(
@@ -741,18 +770,8 @@ def cmd_rejuvenate(args: argparse.Namespace) -> int:
     best = f2pm.best_by_smae("all")
     model = f2pm.models[(best.name, "all")]
     if args.compiled:
-        from repro.ml.model_selection import train_test_split
-        from repro.ml.serving import compile_predictor
-
-        _, X_val, _, y_val = train_test_split(
-            f2pm.dataset.X, f2pm.dataset.y, test_size=0.25, seed=args.seed
-        )
-        model = compile_predictor(
-            model,
-            tol=0.10 * f2pm.smae_threshold,
-            X_val=X_val,
-            y_val=y_val,
-            smae_threshold=f2pm.smae_threshold,
+        model = _gated_compile(
+            model, f2pm.dataset, f2pm.smae_threshold, seed=args.seed
         )
         print(f"compiled scoring model: {model.report.reason}")
 
@@ -827,7 +846,13 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.rejuvenation import ManagedSystemConfig
+    from repro.core.ingest import read_campaign_csv
+    from repro.core.sanitize import POLICIES
+    from repro.faults import PRESETS
+    from repro.ml.serving import compile_predictor
+    from repro.rejuvenation import FleetConfig, ManagedSystemConfig
+
+    compile_defaults = compile_predictor.__kwdefaults__
 
     parser = argparse.ArgumentParser(
         prog="f2pm",
@@ -891,17 +916,30 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: all cores)",
     )
 
+    # The seed of every command that draws random numbers.
+    seed_parent = argparse.ArgumentParser(add_help=False)
+    seed_parent.add_argument("--seed", type=int, default=CampaignConfig.seed)
+
+    # The artifact store of `cache` and `campaign`.
+    dir_parent = argparse.ArgumentParser(add_help=False)
+    dir_parent.add_argument(
+        "--dir",
+        default=None,
+        metavar="PATH",
+        help="store directory (default: $F2PM_CACHE_DIR or ~/.cache/f2pm-repro)",
+    )
+
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name: str, parallel: bool = False, **kwargs):
-        parents = [obs_parent, exec_parent] if parallel else [obs_parent]
-        return sub.add_parser(name, parents=parents, **kwargs)
+    def add_parser(name: str, *parents, **kwargs):
+        return sub.add_parser(name, parents=[obs_parent, *parents], **kwargs)
 
-    p = add_parser("simulate", parallel=True, help="run a monitoring campaign")
+    p = add_parser(
+        "simulate", exec_parent, seed_parent, help="run a monitoring campaign"
+    )
     p.add_argument("-o", "--output", default="history.npz")
-    p.add_argument("--runs", type=int, default=8)
+    p.add_argument("--runs", type=int, default=DEMO_RUNS)
     p.add_argument("--browsers", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--scenario",
         default=None,
@@ -914,33 +952,20 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="S",
-        help="per-run horizon in seconds (slow-aging scenarios such as "
-        "lock-contention need more than the demo default of 3000)",
+        help="per-run horizon in seconds (default: the demo campaign's; "
+        "slow-aging scenarios such as lock-contention need more)",
     )
     p.add_argument(
         "--failure",
-        default=None,
+        default=CampaignConfig.failure,
         metavar="SPEC",
         help="failure condition spec: mem[:headroom], rt>SECONDS, "
         "gen>SECONDS, fd[:fill]; '|' combines alternatives",
     )
-    for flag, family in (
-        ("--time-injectors", "Sec. III-E time-based leak/thread storms"),
-        ("--lock-injector", "stuck application locks"),
-        ("--fd-injector", "fd/socket leaks"),
-        ("--conn-injector", "connection-pool depletion"),
-        ("--frag-injector", "heap fragmentation"),
-    ):
+    for field, (flag, family) in INJECTOR_FLAGS.items():
         p.add_argument(
-            flag, action="store_true", help=f"enable the {family} injector"
+            flag, dest=field, action="store_true", help=f"enable the {family} injector"
         )
-    p.add_argument(
-        "--substrate",
-        choices=SUBSTRATES,
-        default=CampaignConfig.substrate,
-        help="simulation engine: event-fused fast path or the legacy "
-        "per-tick loop (bit-identical output; see docs/PERFORMANCE.md)",
-    )
     p.set_defaults(func=cmd_simulate)
 
     p = add_parser("scenarios", help="list the named scenario presets")
@@ -957,7 +982,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=float, default=DEMO_WINDOW)
     p.add_argument(
         "--policy",
-        choices=("strict", "repair", "quarantine"),
+        choices=POLICIES,
         default=None,
         help="route the history through the sanitize layer first "
         "(default: trust the input; see docs/ROBUSTNESS.md)",
@@ -967,16 +992,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("select", help="print the Lasso regularization path")
     p.add_argument("history")
     p.add_argument("--window", type=float, default=DEMO_WINDOW)
-    p.add_argument("--min-features", type=int, default=6)
+    p.add_argument(
+        "--min-features", type=int, default=F2PMConfig.selection_min_features
+    )
     p.set_defaults(func=cmd_select)
 
-    p = add_parser("train", parallel=True, help="run the full F2PM workflow")
+    p = add_parser(
+        "train", exec_parent, seed_parent, help="run the full F2PM workflow"
+    )
     p.add_argument("history")
     p.add_argument("--window", type=float, default=DEMO_WINDOW)
     p.add_argument("--models", default="linear,m5p,reptree,svm2")
     p.add_argument("--lasso-predictors", action="store_true")
     p.add_argument("--smae-frac", type=float, default=F2PMConfig.smae_threshold_frac)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", default=None, help="write a Markdown report here")
     p.add_argument(
         "--save-model", default=None, help="persist the best fitted model here"
@@ -995,16 +1023,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rt-column", default=None)
     p.add_argument(
         "--policy",
-        choices=("strict", "repair", "quarantine"),
-        default="repair",
-        help="data-quality policy for dirty traces (default: repair; "
+        choices=POLICIES,
+        default=read_campaign_csv.__kwdefaults__["policy"],
+        help="data-quality policy for dirty traces (default: %(default)s; "
         "see docs/ROBUSTNESS.md)",
     )
     p.set_defaults(func=cmd_ingest)
 
-    from repro.faults import PRESETS
-
-    p = add_parser("faults", help="corrupt a history with a fault profile")
+    p = add_parser(
+        "faults", seed_parent, help="corrupt a history with a fault profile"
+    )
     p.add_argument("history", help="clean history (.npz) to corrupt")
     p.add_argument(
         "-o", "--output", default="dirty", help="directory for the dirty run CSVs"
@@ -1022,10 +1050,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="explicit profile, e.g. 'nan=0.05,dup=0.02,reset=1' "
         "(overrides --preset)",
     )
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--check",
-        choices=("strict", "repair", "quarantine"),
+        choices=POLICIES,
         default=None,
         help="also run the sanitize layer over the dirty runs and print "
         "its verdicts",
@@ -1043,6 +1070,7 @@ def build_parser() -> argparse.ArgumentParser:
     model_sub = p.add_subparsers(dest="model_cmd", required=True)
     sp = model_sub.add_parser(
         "compile",
+        parents=[seed_parent],
         help="compile a saved model for fast serving (accuracy-gated; "
         "see docs/PERFORMANCE.md)",
     )
@@ -1058,7 +1086,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--budget",
         type=int,
-        default=128,
+        default=compile_defaults["budget"],
         help="max serving reference rows before Nystrom factorization",
     )
     sp.add_argument(
@@ -1067,38 +1095,31 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="S",
         help="max tolerated S-MAE increase in seconds "
-        "(default: 10%% of the S-MAE threshold)",
+        f"(default: {COMPILE_TOL_FRAC:g} x the S-MAE threshold)",
     )
     sp.add_argument(
-        "--dtype", choices=("float32", "float64"), default="float32"
+        "--dtype", choices=("float32", "float64"), default=compile_defaults["dtype"]
     )
     sp.add_argument("--smae-frac", type=float, default=F2PMConfig.smae_threshold_frac)
     sp.add_argument(
         "--val-fraction",
         type=float,
-        default=0.25,
+        default=COMPILE_VAL_FRACTION,
         help="held-out fraction the accuracy gate scores against",
     )
-    sp.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_model)
 
     p = add_parser(
-        "experiments", parallel=True, help="regenerate all paper tables/figures"
+        "experiments", exec_parent, help="regenerate all paper tables/figures"
     )
     p.set_defaults(func=cmd_experiments)
 
-    p = add_parser("rejuvenate", parallel=True, help="compare rejuvenation policies")
-    p.add_argument("--runs", type=int, default=8)
+    p = add_parser(
+        "rejuvenate", exec_parent, seed_parent, help="compare rejuvenation policies"
+    )
+    p.add_argument("--runs", type=int, default=DEMO_RUNS)
     p.add_argument("--horizon", type=float, default=10_000.0)
     p.add_argument("--window", type=float, default=ManagedSystemConfig.window_seconds)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--substrate",
-        choices=SUBSTRATES,
-        default=CampaignConfig.substrate,
-        help="simulation engine for the training campaign and the "
-        "managed runs (bit-identical output; see docs/PERFORMANCE.md)",
-    )
     p.add_argument(
         "--compiled",
         action="store_true",
@@ -1108,24 +1129,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rejuvenate)
 
     p = add_parser(
-        "fleet", help="simulate a fleet of managed nodes under one policy engine"
+        "fleet",
+        seed_parent,
+        help="simulate a fleet of managed nodes under one policy engine",
     )
     p.add_argument("--nodes", type=int, default=100)
     p.add_argument("--horizon", type=float, default=3000.0)
     p.add_argument("--window", type=float, default=ManagedSystemConfig.window_seconds)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--capacity-floor",
         type=float,
         default=0.8,
         metavar="FRAC",
         help="defer planned restarts while live capacity would drop "
-        "below this fraction (default: 0.8)",
+        "below this fraction (default: %(default)s)",
     )
     p.add_argument(
         "--drain",
         type=float,
-        default=0.0,
+        default=FleetConfig.drain_seconds,
         metavar="S",
         help="drain a node for S seconds before a planned restart",
     )
@@ -1161,7 +1183,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         metavar="S",
-        help="redraw period in follow mode (default: 1s)",
+        help="redraw period in follow mode (default: %(default)ss)",
     )
     p.add_argument(
         "--frames",
@@ -1172,12 +1194,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_top)
 
-    p = add_parser("cache", help="inspect/maintain the experiment artifact store")
-    p.add_argument(
-        "--dir",
-        default=None,
-        metavar="PATH",
-        help="store directory (default: $F2PM_CACHE_DIR or ~/.cache/f2pm-repro)",
+    p = add_parser(
+        "cache", dir_parent, help="inspect/maintain the experiment artifact store"
     )
     cache_sub = p.add_subparsers(dest="cache_command", required=True)
     cache_sub.add_parser("ls", help="list entries with verification status")
@@ -1198,13 +1216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser(
         "campaign",
+        dir_parent,
         help="plan/run/report a declarative campaign spec (run-missing)",
-    )
-    p.add_argument(
-        "--dir",
-        default=None,
-        metavar="PATH",
-        help="store directory (default: $F2PM_CACHE_DIR or ~/.cache/f2pm-repro)",
     )
     campaign_sub = p.add_subparsers(dest="campaign_command", required=True)
     sp = campaign_sub.add_parser(
@@ -1212,16 +1225,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("spec", help="campaign spec JSON file")
     sp = campaign_sub.add_parser(
-        "run", help="execute only the missing cells, load the rest"
+        "run",
+        parents=[exec_parent],
+        help="execute only the missing cells, load the rest",
     )
     sp.add_argument("spec", help="campaign spec JSON file")
-    sp.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes per cell simulation (default: all cores)",
-    )
     sp.add_argument(
         "--no-cooperate",
         action="store_true",

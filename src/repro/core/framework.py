@@ -332,12 +332,14 @@ class F2PM:
             # Deterministic grid order: feature set major, model minor —
             # the parallel path returns (and merges telemetry) in this
             # exact order, so reports/tables never depend on scheduling.
-            grid: list[tuple[str, str, Regressor, TrainingSet, TrainingSet]] = [
-                (feature_set, name, _fresh(prototype), train, val)
-                for feature_set, train, val in (
-                    ("all", train_full, val_full),
-                    ("selected", train_sel, val_sel),
-                )
+            # Every cell of a feature set fits that set's one split.
+            splits: dict[str, tuple[TrainingSet, TrainingSet]] = {
+                "all": (train_full, val_full),
+                "selected": (train_sel, val_sel),
+            }
+            grid: list[tuple[str, str, Regressor]] = [
+                (feature_set, name, _fresh(prototype))
+                for feature_set in splits
                 for name, prototype in candidates
             ]
 
@@ -346,21 +348,20 @@ class F2PM:
                     from repro.parallel.training import evaluate_grid_parallel
 
                     outcomes = evaluate_grid_parallel(
-                        grid, smae_threshold=smae_threshold, jobs=jobs
+                        grid, splits, smae_threshold=smae_threshold, jobs=jobs
                     )
                 else:
                     outcomes = [
                         evaluate_model(
                             name,
                             model,
-                            train,
-                            val,
+                            *splits[feature_set],
                             smae_threshold=smae_threshold,
                             feature_set=feature_set,
                         )
-                        for feature_set, name, model, train, val in grid
+                        for feature_set, name, model in grid
                     ]
-                for (feature_set, name, *_), (report, fitted, pred) in zip(
+                for (feature_set, name, _), (report, fitted, pred) in zip(
                     grid, outcomes
                 ):
                     reports.append(report)

@@ -101,12 +101,7 @@ def default_history(
 
 def default_f2pm_config() -> F2PMConfig:
     """The F2PM configuration behind Tables II-IV and Fig. 5."""
-    return F2PMConfig(
-        aggregation=AggregationConfig(window_seconds=EXPERIMENT_WINDOW),
-        smae_threshold_frac=0.10,
-        validation_fraction=0.3,
-        seed=0,
-    )
+    return F2PMConfig(aggregation=AggregationConfig(window_seconds=EXPERIMENT_WINDOW))
 
 
 # -- manifests ---------------------------------------------------------------------

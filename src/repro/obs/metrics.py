@@ -168,8 +168,7 @@ class Histogram:
 
         Exact statistics add exactly; log-bucket counts add bin-by-bin
         (no information loss — the merged histogram is identical to one
-        that observed every value itself, bucket-wise). Legacy states
-        carrying raw ``samples`` re-observe them for compatibility.
+        that observed every value itself, bucket-wise).
         """
         count = int(state.get("count", 0))
         if count <= 0:
@@ -178,19 +177,10 @@ class Histogram:
         self.total += float(state.get("total", 0.0))
         self.min = min(self.min, float(state.get("min", float("inf"))))
         self.max = max(self.max, float(state.get("max", float("-inf"))))
-        if "buckets" in state or "nonpositive" in state:
-            for key, n in (state.get("buckets") or {}).items():
-                idx = int(key)
-                self._buckets[idx] = self._buckets.get(idx, 0) + int(n)
-            self._nonpositive += int(state.get("nonpositive", 0))
-        else:  # legacy sample-buffer dump: bin the retained samples
-            for v in state.get("samples", ()):
-                v = float(v)
-                if v > 0.0:
-                    idx = bucket_index(v)
-                    self._buckets[idx] = self._buckets.get(idx, 0) + 1
-                else:
-                    self._nonpositive += 1
+        for key, n in state["buckets"].items():
+            idx = int(key)
+            self._buckets[idx] = self._buckets.get(idx, 0) + int(n)
+        self._nonpositive += int(state["nonpositive"])
 
     def summary(self) -> dict[str, float]:
         """JSON-ready summary (the snapshot representation)."""

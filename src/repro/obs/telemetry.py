@@ -456,8 +456,8 @@ def hist_buckets_cumulative(hist_state: dict[str, Any]) -> Iterable[tuple[float,
     """Cumulative ``(upper_bound, count)`` pairs from a histogram state.
 
     Accepts the log-bucketed :meth:`repro.obs.metrics.Histogram.state`
-    layout; yields nothing for states without bins (e.g. legacy dumps),
-    in which case only ``+Inf``/``_sum``/``_count`` are emitted.
+    layout; yields nothing for a state with no positive observations, in
+    which case only ``+Inf``/``_sum``/``_count`` are emitted.
     """
     from repro.obs.metrics import bucket_upper_bound
 

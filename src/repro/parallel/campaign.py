@@ -13,11 +13,10 @@ byte-for-byte what the serial path would have produced (modulo wall
 clocks).
 
 Each worker runs the serial loop's own per-run body,
-``TestbedSimulator.run_indexed``. The execution substrate
-(``CampaignConfig.substrate``) rides along in the pickled config, so a
-worker runs the same fused/loop engine the serial path would, and
-``jobs=N`` x fused stays bit-identical to ``jobs=1`` x loop
-(``tests/system/test_substrate_equivalence.py``).
+``TestbedSimulator.run_indexed``. The failure condition rides along in
+the payload and picks the engine there as it does in the parent, so
+``jobs=N`` on the fused engine stays bit-identical to ``jobs=1`` on the
+loop (``tests/system/test_substrate_equivalence.py``).
 """
 
 from __future__ import annotations

@@ -30,23 +30,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (framework imports us
 
 
 def _fit_task(payload: dict[str, Any]) -> tuple:
-    """Worker entry point: fit + validate one grid cell.
-
-    The train/validation split normally arrives via the pool's worker
-    context (shipped once per worker, keyed by feature set); a payload
-    may still carry it inline (``"train"``/``"validation"`` keys), the
-    fallback for the rare grid whose cells disagree on the split.
-    """
+    """Worker entry point: fit + validate one grid cell on its feature
+    set's split, read from the pool's worker context."""
     from repro.core.evaluation import evaluate_model
     from repro.parallel.pool import worker_context
 
     telemetry.configure_worker(payload["trace_on"], payload["metrics_on"])
     telemetry.begin_capture()
-    train = payload.get("train")
-    if train is None:
-        train, validation = worker_context()[payload["feature_set"]]
-    else:
-        validation = payload["validation"]
+    train, validation = worker_context()[payload["feature_set"]]
     report, fitted, pred = evaluate_model(
         payload["name"],
         payload["model"],
@@ -59,32 +50,29 @@ def _fit_task(payload: dict[str, Any]) -> tuple:
 
 
 def evaluate_grid_parallel(
-    grid: "list[tuple[str, str, Regressor, TrainingSet, TrainingSet]]",
+    grid: "list[tuple[str, str, Regressor]]",
+    splits: "dict[str, tuple[TrainingSet, TrainingSet]]",
     *,
     smae_threshold: float,
     jobs: int,
 ) -> "list[tuple[ModelReport, Regressor, np.ndarray]]":
-    """Evaluate ``(feature_set, name, model, train, validation)`` cells.
+    """Evaluate ``(feature_set, name, model)`` cells, each on its feature
+    set's ``(train, validation)`` pair in ``splits``.
 
     Returns ``(report, fitted_model, predictions)`` per cell **in grid
     order**, with each cell's telemetry merged into the parent registry
     (in the same order) before returning.
 
-    Every model in a feature set fits the same train/validation split,
-    so the splits ship **once per worker** (pool context keyed by
-    feature set) instead of being re-pickled into all ~len(grid)
-    payloads. A cell whose split unexpectedly differs from its feature
-    set's first cell ships inline, preserving correctness for arbitrary
-    grids.
+    Every model in a feature set fits the same split, so ``splits`` ships
+    **once per worker** as the pool context instead of being re-pickled
+    into all ~len(grid) payloads.
     """
     from repro.obs import get_metrics, get_tracer
 
     tracer = get_tracer()
     registry = get_metrics()
-    splits: dict[str, tuple] = {}
-    payloads = []
-    for feature_set, name, model, train, validation in grid:
-        payload = {
+    payloads = [
+        {
             "feature_set": feature_set,
             "name": name,
             "model": model,
@@ -92,16 +80,13 @@ def evaluate_grid_parallel(
             "trace_on": tracer.enabled,
             "metrics_on": registry.enabled,
         }
-        prev = splits.setdefault(feature_set, (train, validation))
-        if prev[0] is not train or prev[1] is not validation:
-            payload["train"] = train  # divergent split: ship inline
-            payload["validation"] = validation
-        payloads.append(payload)
+        for feature_set, name, model in grid
+    ]
     outcomes = run_tasks(
         _fit_task,
         payloads,
         jobs=jobs,
-        labels=[f"fit {name}/{feature_set}" for feature_set, name, *_ in grid],
+        labels=[f"fit {name}/{feature_set}" for feature_set, name, _ in grid],
         context=splits,
     )
     results = []

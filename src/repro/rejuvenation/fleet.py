@@ -13,7 +13,7 @@ time. :class:`FleetController` is the one control loop; the single-server
 - RTTF scoring is **batched**: one ``model.predict`` call on an
   ``(n_due, 30)`` matrix per tick instead of N scalar predicts, pinned
   bit-identical by tests to a per-node scalar plane — the same contract
-  the ``fused`` simulation substrate holds against the legacy ``loop``;
+  the fused simulation engine holds against its loop oracle;
 - a **fleet rejuvenation policy** staggers planned restarts so live
   capacity never drops below ``capacity_floor`` (crashes can still breach
   it — those are counted as floor violations), and drains a node for
@@ -275,9 +275,9 @@ class SimulatedFleetSource(FleetSource):
 
     Each node runs the same resumable episode as a campaign run
     (:func:`repro.system.fused.fused_episode`, or
-    :func:`repro.system.simulator.loop_episode` when the config asks for
-    the loop substrate or the failure condition has no threshold form),
-    with its load schedule offset by the wall time the node booted at.
+    :func:`repro.system.simulator.loop_episode` when the failure
+    condition has no threshold form), with its load schedule offset by
+    the wall time the node booted at.
     ``step`` resumes only the nodes with an event on the tick: an
     episode runs ahead to its next monitor sample or crash, which is
     exact because a node's trajectory depends on its own streams only.
@@ -300,12 +300,7 @@ class SimulatedFleetSource(FleetSource):
         self.fault_profile = fault_profile
         self.dt = campaign.dt
         # The same dispatch as TestbedSimulator.run_once.
-        self._limits = (
-            self.failure_condition.fused_limits(campaign.machine)
-            if campaign.substrate == "fused"
-            else None
-        )
-        self._fallback = campaign.substrate == "fused" and self._limits is None
+        self._limits = self.failure_condition.fused_limits(campaign.machine)
 
     def bind(self, rngs: list, horizon: float) -> None:
         self._rngs = rngs
@@ -347,8 +342,7 @@ class SimulatedFleetSource(FleetSource):
         if self._limits is not None:
             episode = fused_episode(cfg, self._limits, streams, t0=t0)
         else:
-            if self._fallback:
-                get_metrics().inc("sim.fused_fallback_total")
+            get_metrics().inc("sim.fused_fallback_total")
             episode = loop_episode(cfg, self.failure_condition, streams, t0=t0)
         self._episodes[node] = episode
         self._fresh[node] = False

@@ -78,11 +78,11 @@ class Scenario:
                 f"scenario {self.name!r} overrides unknown CampaignConfig "
                 f"fields: {sorted(unknown)}"
             )
-        for reserved in ("seed", "n_runs", "substrate"):
+        for reserved in ("seed", "n_runs"):
             if reserved in self.overrides:
                 raise ValueError(
                     f"scenario {self.name!r} may not override {reserved!r}: "
-                    "run count, seed and substrate belong to the caller"
+                    "run count and seed belong to the caller"
                 )
 
     def apply(self, base: CampaignConfig) -> CampaignConfig:

@@ -43,10 +43,6 @@ class CampaignCheckpoint:
         sidecar rides along).
     key : fingerprint of the producing configuration — a checkpoint
         written under a different config is ignored, never resumed.
-        Fields a config lists in ``__key_exclude__`` (e.g.
-        ``CampaignConfig.substrate``) are not part of the fingerprint,
-        so a campaign checkpointed under one substrate resumes under the
-        other — safe because the substrates are bit-identical.
     total_runs : the campaign size the checkpoint counts toward.
     """
 

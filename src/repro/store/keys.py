@@ -14,10 +14,10 @@ here are derived from an explicit canonical encoding instead:
   (old artifacts stay valid), while setting it to a non-default value
   changes the key — invalidation is always a deliberate act;
 - a dataclass may declare ``__key_exclude__`` (a collection of field
-  names) for fields that select *how* a result is computed but never
-  what it contains — e.g. ``CampaignConfig.substrate``, whose fused and
-  loop values produce bit-identical histories. Excluded fields are
-  skipped entirely, so artifacts cache-hit across them;
+  names) for fields that label a value but never change what it
+  contains — e.g. ``CampaignSpec.name``, so two specs naming the same
+  grid alias the same artifacts. Excluded fields are skipped entirely,
+  so artifacts cache-hit across them;
 - the encoding embeds :data:`KEY_SCHEMA_VERSION`; bumping it retires
   every existing key at once when the scheme itself changes.
 

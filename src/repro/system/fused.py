@@ -103,7 +103,7 @@ def run_once_fused(
     """
     metrics = get_metrics()
     episode = fused_episode(cfg, limits, rng.spawn(5), max_run=cfg.max_run_seconds)
-    with span("simulate.run.fused", substrate="fused") as run_sp:
+    with span("simulate.run.fused") as run_sp:
         record, blocks = record_episode(episode, cfg.max_run_seconds)
         run_sp.set(
             blocks=blocks.blocks,

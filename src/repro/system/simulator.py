@@ -14,10 +14,11 @@ simulates in seconds. The loop advances in fixed ticks:
          -> FMC sample if due    (load-stretched interval)
          -> failure check        (fail event -> RunRecord, restart)
 
-Each substrate simulates a run as a resumable node *episode*
+Each engine simulates a run as a resumable node *episode*
 (:func:`loop_episode` here, :func:`repro.system.fused.fused_episode` on the
-fused engine). :meth:`TestbedSimulator.run_once` runs one to its end; the
-fleet's ``SimulatedFleetSource`` resumes one per node.
+fused engine), and the failure condition picks the engine.
+:meth:`TestbedSimulator.run_once` runs one episode to its end; the fleet's
+``SimulatedFleetSource`` resumes one per node.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ from repro.store.checkpoint import CHECKPOINT_EVERY, CampaignCheckpoint
 from repro.utils.rng import as_rng
 
 _log = get_logger("system.simulator")
-
-#: The execution substrates, as :attr:`CampaignConfig.substrate` names them.
-SUBSTRATES = ("fused", "loop")
 
 
 @dataclass(frozen=True)
@@ -112,16 +110,6 @@ class CampaignConfig:
     #: wins (:func:`resolve_failure`). Part of the config so
     #: campaign cells are content-addressed per failure definition.
     failure: "str | None" = None
-    #: Execution substrate: ``"fused"`` runs the event-fused engine
-    #: (:mod:`repro.system.fused`), ``"loop"`` the legacy per-tick loop.
-    #: Both produce bit-identical output (see ``docs/PERFORMANCE.md``),
-    #: so the choice is pure execution strategy — like ``jobs`` — and is
-    #: excluded from cache fingerprints via ``__key_exclude__``.
-    substrate: str = "fused"
-
-    #: Fields that never affect campaign *output*, only how it is
-    #: computed; :mod:`repro.store.keys` skips them when fingerprinting.
-    __key_exclude__ = frozenset({"substrate"})
 
     def __post_init__(self) -> None:
         if self.n_runs < 1:
@@ -132,9 +120,6 @@ class CampaignConfig:
             raise ValueError(
                 f"max_run_seconds must be positive, got {self.max_run_seconds}"
             )
-        if self.substrate not in SUBSTRATES:
-            names = " or ".join(f'"{name}"' for name in SUBSTRATES)
-            raise ValueError(f"substrate must be {names}, got {self.substrate!r}")
         for name in ("p_leak_range", "p_thread_range"):
             lo, hi = getattr(self, name)
             if not 0.0 <= lo <= hi <= 1.0:
@@ -429,29 +414,28 @@ class TestbedSimulator:
     def run_once(self, seed: "int | None | np.random.Generator" = None) -> RunRecord:
         """Simulate one run from VM start to fail event (or truncation).
 
-        Dispatches to the substrate selected by the config. The fused
-        engine requires a threshold-compilable failure condition; a
-        condition that does not compile (a user-defined predicate) falls
-        back to the legacy loop, which evaluates it exactly.
+        The failure condition picks the engine: one that compiles to a
+        threshold triple runs on the fused engine; any other (a
+        user-defined predicate, ``FdExhaustion``) falls back to the loop,
+        which evaluates it exactly.
         """
         cfg = self.config
         rng = as_rng(seed)
-        if cfg.substrate == "fused":
+        limits = self.failure_condition.fused_limits(cfg.machine)
+        if limits is not None:
             from repro.system.fused import run_once_fused
 
-            limits = self.failure_condition.fused_limits(cfg.machine)
-            if limits is not None:
-                return run_once_fused(cfg, limits, rng)
-            get_metrics().inc("sim.fused_fallback_total")
-            get_telemetry().event(
-                0.0,
-                "fused_fallback",
-                condition=self.failure_condition.description,
-            )
-            _log.info(
-                "failure condition has no threshold form; using loop substrate %s",
-                kv(condition=self.failure_condition.description),
-            )
+            return run_once_fused(cfg, limits, rng)
+        get_metrics().inc("sim.fused_fallback_total")
+        get_telemetry().event(
+            0.0,
+            "fused_fallback",
+            condition=self.failure_condition.description,
+        )
+        _log.info(
+            "failure condition has no threshold form; using loop substrate %s",
+            kv(condition=self.failure_condition.description),
+        )
         return self._run_once_loop(rng)
 
     def _run_once_loop(self, rng: np.random.Generator) -> RunRecord:

@@ -23,6 +23,27 @@ import pytest  # noqa: E402
 
 from repro.core import AggregationConfig, aggregate_history  # noqa: E402
 from repro.system import CampaignConfig, MachineConfig, TestbedSimulator  # noqa: E402
+from repro.system.failure import FailureCondition  # noqa: E402
+
+
+class LoopOnly(FailureCondition):
+    """``condition`` without its threshold form.
+
+    The failure condition picks the simulation engine, and only a
+    condition that compiles to thresholds runs fused; this one keeps the
+    base ``fused_limits`` (None), so a run or fleet node ending on it
+    takes the loop episode, the fused engine's oracle.
+    """
+
+    def __init__(self, condition: FailureCondition) -> None:
+        self.condition = condition
+
+    def is_failed(self, view) -> bool:
+        return self.condition.is_failed(view)
+
+    @property
+    def description(self) -> str:
+        return self.condition.description
 
 
 def small_machine() -> MachineConfig:

@@ -1,7 +1,6 @@
 """Tests for model evaluation (repro.core.evaluation)."""
 
 from collections import defaultdict
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,9 +24,8 @@ from repro.rejuvenation import (
     SyntheticFleetSource,
     SyntheticFleetSpec,
 )
-from repro.system import TestbedSimulator
-from repro.system.simulator import SUBSTRATES
-from tests.conftest import small_campaign
+from repro.system import MemoryExhaustion, TestbedSimulator
+from tests.conftest import LoopOnly, small_campaign
 
 
 @pytest.fixture
@@ -115,13 +113,12 @@ class TestEvaluateModel:
 
 @pytest.fixture(scope="module")
 def instrumented(history):
-    """A default F2PM run, a campaign on each substrate and a predictive
+    """A default F2PM run, a campaign on each engine and a predictive
     fleet, recorded on one fresh registry."""
     obs.reset()
     result = F2PM(default_f2pm_config()).run(history)
-    for substrate in SUBSTRATES:
-        campaign = replace(small_campaign(n_runs=2), substrate=substrate)
-        TestbedSimulator(campaign).run_campaign()
+    for condition in (None, LoopOnly(MemoryExhaustion())):
+        TestbedSimulator(small_campaign(n_runs=2), condition).run_campaign()
     FleetController(
         SyntheticFleetSource(SyntheticFleetSpec()),
         ManagedSystemConfig(horizon_seconds=2000.0, window_seconds=20.0),

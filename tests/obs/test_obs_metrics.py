@@ -96,16 +96,6 @@ class TestInstruments:
         assert a.state() == whole.state()
         assert a.summary() == whole.summary()
 
-    def test_histogram_merges_legacy_sample_dumps(self):
-        h = Histogram()
-        h.merge_state(
-            {"count": 3, "total": 6.0, "min": 1.0, "max": 3.0,
-             "samples": [1.0, 2.0, 3.0]}
-        )
-        assert h.count == 3
-        assert h.total == 6.0
-        assert h.quantile(0.5) == pytest.approx(2.0, rel=0.2)
-
 
 class TestRegistry:
     def test_recording_and_snapshot(self):

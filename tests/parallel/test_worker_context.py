@@ -3,7 +3,7 @@
 The training grid fans ~12 cells out per feature set, and every cell in
 a feature set fits the same train/validation split — the split must
 ship once per *worker*, not once per *task*. These tests pin the pool
-mechanics and the grid builder's payload dedup.
+mechanics and that no grid payload carries a split.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def test_parent_process_context_is_none():
 
 
 class TestGridPayloadDedup:
-    def _grid(self, n_models: int = 3):
+    def _grid(self):
         from repro.core.dataset import TrainingSet
         from repro.ml.linear import LinearRegression
 
@@ -46,16 +46,15 @@ class TestGridPayloadDedup:
             X=rng.normal(size=(n, 2)), y=rng.normal(size=n), feature_names=("a", "b")
         )
         train, val = mk(40), mk(10)
-        return [
-            ("all", f"lr{i}", LinearRegression(), train, val)
-            for i in range(n_models)
-        ], (train, val)
+        grid = [("all", f"lr{i}", LinearRegression()) for i in range(3)]
+        return grid, {"all": (train, val)}
 
     def test_shared_split_ships_via_context_not_payload(self):
         """Grid cells sharing a split must not re-pickle it per task."""
         from repro.parallel import training
 
-        grid, (train, val) = self._grid()
+        grid, splits = self._grid()
+        train, val = splits["all"]
         captured = {}
         original = training.run_tasks
 
@@ -67,7 +66,7 @@ class TestGridPayloadDedup:
         training.run_tasks = spy
         try:
             results = training.evaluate_grid_parallel(
-                grid, smae_threshold=10.0, jobs=2
+                grid, splits, smae_threshold=10.0, jobs=2
             )
         finally:
             training.run_tasks = original
@@ -78,32 +77,16 @@ class TestGridPayloadDedup:
             assert "train" not in payload
         assert captured["context"]["all"] == (train, val)
 
-    def test_divergent_split_ships_inline_and_is_used(self):
-        from repro.core.dataset import TrainingSet
-        from repro.ml.linear import LinearRegression
-        from repro.parallel import training
-
-        grid, (train, val) = self._grid(2)
-        rng = np.random.default_rng(9)
-        odd_train = TrainingSet(
-            X=rng.normal(size=(30, 2)),
-            y=np.full(30, 777.0),  # recognizably different target
-            feature_names=("a", "b"),
-        )
-        grid.append(("all", "odd", LinearRegression(), odd_train, val))
-
-        results = training.evaluate_grid_parallel(grid, smae_threshold=10.0, jobs=2)
-        # the divergent cell really fit its own split: a constant-777
-        # target makes the intercept-only prediction unmistakable
-        _, odd_model, odd_pred = results[2]
-        assert np.allclose(odd_pred, 777.0, atol=1.0)
-
     def test_grid_results_match_serial(self):
         from repro.parallel import training
 
-        grid, _ = self._grid()
-        parallel = training.evaluate_grid_parallel(grid, smae_threshold=10.0, jobs=2)
-        serial = training.evaluate_grid_parallel(grid, smae_threshold=10.0, jobs=1)
+        grid, splits = self._grid()
+        parallel = training.evaluate_grid_parallel(
+            grid, splits, smae_threshold=10.0, jobs=2
+        )
+        serial = training.evaluate_grid_parallel(
+            grid, splits, smae_threshold=10.0, jobs=1
+        )
         for (rp, _, pp), (rs, _, ps) in zip(parallel, serial):
             assert rp.mae == rs.mae
             assert np.array_equal(pp, ps)

@@ -1,7 +1,7 @@
 """Fleet controller equivalence battery.
 
 Two contracts anchor the fleet layer, both bit-exact (the same standard
-the ``fused`` substrate holds against the legacy ``loop``):
+the fused simulation engine holds against its loop oracle):
 
 1. a fleet of one node with no floor and no drain — which is what
    ``ManagedSystem`` runs — reproduces the old single-node loop
@@ -40,10 +40,10 @@ from repro.rejuvenation import (
     SyntheticFleetSpec,
     summarize_fleet,
 )
-from repro.system import DiurnalLoad, StepLoad
+from repro.system import DiurnalLoad, MemoryExhaustion, StepLoad
 from repro.system.failure import FailureCondition
 from repro.utils.rng import as_rng
-from tests.conftest import small_campaign
+from tests.conftest import LoopOnly, small_campaign
 from tests.rejuvenation.control_reference import (
     OnlineAggregator,
     ReferenceManagedSystem,
@@ -112,8 +112,8 @@ ONE_NODE_INPUTS = {
     ),
     "custom-failure": ({}, HalfSwapExhaustion()),
     "loop-substrate": (
-        {**FAST_LEAK, "load_schedule": STEP_LOAD, "substrate": "loop"},
-        None,
+        {**FAST_LEAK, "load_schedule": STEP_LOAD},
+        LoopOnly(MemoryExhaustion()),
     ),
 }
 
@@ -192,9 +192,9 @@ REFERENCE_INPUTS = {
     ),
     "loop-substrate": (
         lambda m: PeriodicRejuvenation(400.0),
-        {**FAST_LEAK, "load_schedule": STEP_LOAD, "substrate": "loop"},
+        {**FAST_LEAK, "load_schedule": STEP_LOAD},
         {},
-        None,
+        LoopOnly(MemoryExhaustion()),
         None,
     ),
 }
@@ -466,9 +466,11 @@ class TestFleetTelemetry:
         """Testbed nodes count their monitor samples, a loop fallback once
         per episode, and no campaign-run telemetry."""
         campaign = small_campaign(n_runs=2)
-        condition = HalfSwapExhaustion() if inputs == "fallback" else None
-        if inputs == "loop":
-            campaign = dataclasses.replace(campaign, substrate="loop")
+        condition = {
+            "fused": None,
+            "fallback": HalfSwapExhaustion(),
+            "loop": LoopOnly(MemoryExhaustion()),
+        }[inputs]
         source = SampleCounter(
             SimulatedFleetSource(campaign, failure_condition=condition)
         )
@@ -483,7 +485,7 @@ class TestFleetTelemetry:
         counters = snap["counters"]
         assert source.samples > 0
         assert counters["monitor.samples_total"] == source.samples
-        fallbacks = fl.n_episodes if inputs == "fallback" else 0
+        fallbacks = 0 if inputs == "fused" else fl.n_episodes
         assert counters.get("sim.fused_fallback_total", 0) == fallbacks
         assert not [
             name

@@ -38,8 +38,9 @@ from repro.rejuvenation import (
     SyntheticFleetSource,
     SyntheticFleetSpec,
 )
-from repro.system import StepLoad
-from tests.conftest import small_campaign
+from repro.system import MemoryExhaustion, StepLoad
+from repro.system.failure import FailureCondition
+from tests.conftest import LoopOnly, small_campaign
 from tests.rejuvenation.control_reference import (
     ReferenceFleetController,
     ReferenceSimulatedFleetSource,
@@ -85,8 +86,9 @@ POLICIES = {
 class Case:
     """One fleet run: source ("sim" testbed or "syn" closed-form nodes),
     size, policy, source overrides, ManagedSystemConfig and FleetConfig
-    overrides, a fault spec or profile, the seeds to run, and the
-    outcomes (see :func:`outcomes`) the run must reach."""
+    overrides, a fault spec or profile, a testbed failure condition, the
+    seeds to run, and the outcomes (see :func:`outcomes`) the run must
+    reach."""
 
     source: str
     n: int
@@ -95,6 +97,7 @@ class Case:
     managed_kw: dict = dataclasses.field(default_factory=dict)
     fleet_kw: dict = dataclasses.field(default_factory=dict)
     faults: "str | FaultProfile | None" = None
+    condition: "FailureCondition | None" = None
     seeds: tuple = (1,)
     expect: tuple = ()
 
@@ -152,7 +155,12 @@ CASES = {
         expect=("crashes", "resets"),
     ),
     "sim-2-loop": Case(
-        "sim", 2, "periodic", {**FAST_STEP, "substrate": "loop"}, expect=("restarts",)
+        "sim",
+        2,
+        "periodic",
+        FAST_STEP,
+        condition=LoopOnly(MemoryExhaustion()),
+        expect=("restarts",),
     ),
     "sim-5-short-staleness": Case(
         "sim",
@@ -220,7 +228,9 @@ def build(case, models, reference):
     if case.source == "sim":
         campaign = dataclasses.replace(small_campaign(n_runs=2), **case.source_kw)
         cls = ReferenceSimulatedFleetSource if reference else SimulatedFleetSource
-        source = cls(campaign, fault_profile=faults)
+        source = cls(
+            campaign, failure_condition=case.condition, fault_profile=faults
+        )
         horizon = 2000.0
     else:
         assert faults is None, "closed-form nodes have no monitor faults"

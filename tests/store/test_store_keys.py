@@ -162,3 +162,64 @@ class TestRealConfigs:
         cfg = Evil(n_runs=2, seed=1)
         key = history_name(cfg)
         assert key.startswith("history_")
+
+
+class TestPinnedFingerprints:
+    """Cache keys that must not move: a store written before a config
+    field left, or a restated default was dropped, still cache-hits."""
+
+    def test_demo_campaign(self):
+        from repro.cli import demo_campaign
+
+        assert fingerprint("campaign", demo_campaign(8, 0)) == (
+            "fe5bb2da98fa10264ec01b4c419f3b1dd31711dc8137e8b4d50b25e1fb85fcc5"
+        )
+
+    def test_scenario_presets(self):
+        from repro.scenarios import SCENARIOS, resolve_scenario
+        from repro.system import CampaignConfig
+
+        base = CampaignConfig(n_runs=5, seed=1)
+        got = {
+            name: fingerprint("campaign", resolve_scenario(name, base))
+            for name in SCENARIOS
+        }
+        assert got == {
+            "baseline-shopping": "b51d6466506fbb504958479c86123e84978e9edc1a2663e5df918c8025459abe",
+            "browsing-diurnal": "cabb62d9ba49c603c0615dca9c1503c7212d878ec6896f3c7302ede12d519d40",
+            "conn-pool-exhaustion": "3fb8043dbeb72088cf5a265acf76b3c523228335c0200aff895d64b62e79104b",
+            "fd-leak": "6e1d5be9fb817b2b207916bddd3d87bfa8b93250ad3afb438d7149666b187426",
+            "heap-fragmentation": "6cff5f19721007a3d11106b8279477cbf32506d7837a362b6d7fff330d912d22",
+            "lock-contention": "dd9e9e64b3940d6909495bddb068ddffed49004dfa4d4f74c413da8aad86123b",
+            "memory-leak-storm": "12a1982002050e5bd52f4ef9bc137b2eb8e324000122de73f726fddf4eca01b1",
+            "mixed-aging": "1f869e9513ec8db4679c9568372d809b979060bdc974e0c65a3cc730b6bc83e8",
+            "ordering-flash-crowd": "ff9ce915e70f9e462c53bbff73151fe0ba1fefff6af0fe182f19fcc1401d69f4",
+        }
+
+    def test_campaign_spec_and_cells(self):
+        from repro.campaign import CampaignSpec
+        from repro.cli import demo_campaign
+
+        spec = CampaignSpec(
+            name="pin",
+            base=demo_campaign(2, 0),
+            axes={"n_browsers": (20, 40)},
+            seeds=(1, 2),
+            stages=("simulate", "train"),
+        )
+        assert spec.fingerprint == (
+            "ca56e4e5ea7bdfb4880051a6fbdc0d5aa2566f9d7a7c7e0a1d0ef461e88359d3"
+        )
+        assert [cell.fingerprint for cell in spec.cells()] == [
+            "598d424e32cec4349f8e55546eb273103e2e3f1900a3b254aa2ad9661ee5f9e4",
+            "429fbc06eccae440dfc499d8c6ae543e638f321ecc6acbc3458e000e3bd3c27a",
+            "d24beb0b36ca09f1dfd224231b8159e32b4824cc9bb55891de74f0021eb0b3c2",
+            "493979e89bf6d9136a3f866dffdbb4f1c5e7f607e2e7732d5b16c0d9e9d24bc9",
+        ]
+
+    def test_experiment_f2pm_config(self):
+        from repro.experiments.common import default_f2pm_config
+
+        assert fingerprint("f2pm", default_f2pm_config()) == (
+            "53d22e108175de65db04386db8547baf1dd6c83738260858b8a24fe0b0acde74"
+        )

@@ -33,7 +33,11 @@ from repro.system import (
 from repro.system.anomalies import MemoryLeakInjector
 
 from tests.conftest import small_campaign
-from tests.system.test_substrate_equivalence import _records_equal, _run_both
+from tests.system.test_substrate_equivalence import (
+    _loop_only,
+    _records_equal,
+    _run_both,
+)
 
 
 def _exact_monitor() -> MonitorConfig:
@@ -131,9 +135,7 @@ class TestExactBoundaryBitIdentity:
         """Sanity: the exact monitor really does sample on the equality
         edge — datapoint times are exact multiples of the interval."""
         config, condition = BOUNDARY_MATRIX["samples-on-ticks"]
-        sim = TestbedSimulator(
-            dataclasses.replace(config, substrate="loop"), condition
-        )
+        sim = TestbedSimulator(config, _loop_only(config, condition))
         record = sim.run_once(np.random.default_rng(13))
         tgen = record.features[:, 0]
         assert np.array_equal(tgen, 1.5 * np.arange(1, tgen.size + 1))

@@ -1,12 +1,14 @@
 """The fused substrate's bit-identity oracle battery.
 
 The fused engine (:mod:`repro.system.fused`) promises *bit-identical*
-``RunRecord`` output to the legacy per-tick loop — not "statistically
+``RunRecord`` output to the per-tick loop — not "statistically
 equivalent", equal to the last ULP. Every test here compares the two
-substrates with ``np.array_equal`` (exact), across the configuration
+engines with ``np.array_equal`` (exact), across the configuration
 matrix the engine special-cases: session chains, time/lock injectors,
 non-constant load schedules, non-representable ``dt`` accumulation,
 truncated runs, compiled failure conditions, and multi-process fan-out.
+The failure condition picks the engine, so the loop side of each pair
+runs on the same condition behind :class:`~tests.conftest.LoopOnly`.
 The stepper battery holds the fleet's node stepping to the same standard:
 a fleet node stepped tick by tick is the campaign run, row for row.
 """
@@ -38,8 +40,9 @@ from repro.system import (
     TestbedSimulator,
 )
 from repro.system.failure import FailureCondition
+from repro.system.simulator import resolve_failure
 
-from tests.conftest import small_campaign, small_machine
+from tests.conftest import LoopOnly, small_campaign, small_machine
 
 
 def _records_equal(a, b) -> bool:
@@ -51,14 +54,17 @@ def _records_equal(a, b) -> bool:
     )
 
 
+def _loop_only(config: CampaignConfig, condition) -> LoopOnly:
+    """The condition runs of ``config`` end on, forced onto the loop."""
+    return LoopOnly(resolve_failure(config, condition))
+
+
 def _run_both(config: CampaignConfig, condition, seed: int):
-    out = {}
-    for substrate in ("loop", "fused"):
-        sim = TestbedSimulator(
-            dataclasses.replace(config, substrate=substrate), condition
-        )
-        out[substrate] = sim.run_once(np.random.default_rng(seed))
-    return out["loop"], out["fused"]
+    """One seed on the loop, and on the engine ``condition`` picks."""
+    return tuple(
+        TestbedSimulator(config, cond).run_once(np.random.default_rng(seed))
+        for cond in (_loop_only(config, condition), condition)
+    )
 
 
 def _base() -> CampaignConfig:
@@ -221,11 +227,12 @@ class TestNodeStepper:
 
     SEED = 13
 
-    @pytest.mark.parametrize("substrate", ["fused", "loop"])
+    @pytest.mark.parametrize("engine", ["fused", "loop"])
     @pytest.mark.parametrize("case", sorted(STEPPER_CASES))
-    def test_stepped_node_matches_run_once(self, case, substrate):
+    def test_stepped_node_matches_run_once(self, case, engine):
         config, condition = STEPPER_CASES[case]
-        config = dataclasses.replace(config, substrate=substrate)
+        if engine == "loop":
+            condition = _loop_only(config, condition)
         record = TestbedSimulator(config, condition).run_once(
             np.random.default_rng(self.SEED)
         )
@@ -239,7 +246,6 @@ class TestNodeStepper:
 
     def test_fd_leak_node_takes_the_loop_episode(self):
         config, _ = STEPPER_CASES["scenario-fd-leak"]
-        config = dataclasses.replace(config, substrate="fused")
         before = _counter("sim.fused_fallback_total")
         source = _bound_node(config, None, self.SEED)
         _step_node(source, config, 10 * config.dt)
@@ -253,11 +259,12 @@ class TestNodeStepper:
         with pytest.raises(RuntimeError, match="passed its pending event"):
             source.step(ids, np.zeros(1), np.full(1, 100.0))
 
-    @pytest.mark.parametrize("substrate", ["fused", "loop"])
-    def test_abandoned_episode_emits_nothing(self, substrate):
-        config = dataclasses.replace(_base(), substrate=substrate)
+    @pytest.mark.parametrize("engine", ["fused", "loop"])
+    def test_abandoned_episode_emits_nothing(self, engine):
+        config = _base()
+        condition = _loop_only(config, None) if engine == "loop" else None
         obs.reset()
-        source = _bound_node(config, None, self.SEED)
+        source = _bound_node(config, condition, self.SEED)
         rows, _ = _step_node(source, config, 100.0)
         assert rows  # the episode was running
         source.boot(0)  # re-boot mid-episode: the old one is dropped
@@ -309,12 +316,10 @@ class TestParallelFanout:
         base = dataclasses.replace(
             small_campaign(n_runs=4), max_run_seconds=1500.0
         )
-        serial_loop = TestbedSimulator(
-            dataclasses.replace(base, substrate="loop")
-        ).run_campaign(jobs=1)
-        parallel_fused = TestbedSimulator(
-            dataclasses.replace(base, substrate="fused")
-        ).run_campaign(jobs=2)
+        serial_loop = TestbedSimulator(base, _loop_only(base, None)).run_campaign(
+            jobs=1
+        )
+        parallel_fused = TestbedSimulator(base).run_campaign(jobs=2)
         assert len(serial_loop) == len(parallel_fused)
         for a, b in zip(serial_loop.runs, parallel_fused.runs):
             assert _records_equal(a, b)
@@ -328,8 +333,8 @@ class TestFallback:
 
         config = _base()
         assert Custom().fused_limits(config.machine) is None
-        # fused-config simulator with an uncompilable condition must
-        # produce exactly what the loop substrate does
+        # a simulator with an uncompilable condition must produce
+        # exactly what the loop does
         loop, fused = _run_both(config, Custom(), 13)
         assert _records_equal(loop, fused)
 
@@ -370,16 +375,13 @@ class TestFallback:
 
 
 class TestSubstrateConfig:
-    def test_substrate_validated(self):
-        with pytest.raises(ValueError, match="substrate"):
-            CampaignConfig(substrate="warp")
-
     def test_substrate_excluded_from_fingerprint(self):
-        """fused/loop configs share cache keys: artifacts interchange."""
+        """The engine is no part of a cache key: a key written while the
+        engine was a config field still hits."""
         base = small_campaign()
-        fused = dataclasses.replace(base, substrate="fused")
-        loop = dataclasses.replace(base, substrate="loop")
-        assert fingerprint("campaign", fused) == fingerprint("campaign", loop)
+        assert fingerprint("campaign", base) == (
+            "6569214c65834b2e4c80a42108f9ff806bf14c556a0885a3d19a79a2bcccab1d"
+        )
         # ...but content fields still change the key
         other = dataclasses.replace(base, n_browsers=base.n_browsers + 1)
         assert fingerprint("campaign", base) != fingerprint("campaign", other)

@@ -6,9 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
-from repro.core import DataHistory
-from repro.system.simulator import SUBSTRATES, CampaignConfig
+from repro.cli import DEMO_RUNS, DEMO_WINDOW, INJECTOR_FLAGS, build_parser, main
+from repro.core import AggregationConfig, DataHistory, F2PMConfig
+from repro.core.ingest import read_campaign_csv
+from repro.core.sanitize import POLICIES
+from repro.ml.serving import compile_predictor
+from repro.rejuvenation import FleetConfig, ManagedSystemConfig
+from repro.system import CampaignConfig
 
 
 @pytest.fixture
@@ -58,7 +62,7 @@ class TestParser:
                 ["rejuvenate"],
                 {
                     "runs": 8, "horizon": 10_000.0, "window": 20.0, "seed": 0,
-                    "substrate": "fused", "compiled": False,
+                    "compiled": False,
                 },
             ),
             (
@@ -75,19 +79,119 @@ class TestParser:
         args = vars(build_parser().parse_args(argv))
         assert {name: args[name] for name in defaults} == defaults
 
-    @pytest.mark.parametrize("command", ["simulate", "rejuvenate"])
-    def test_substrate_flag_reads_the_config(self, command):
-        parser = build_parser()
-        commands = next(
-            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-        )
-        flag = next(
-            a
-            for a in commands.choices[command]._actions
-            if "--substrate" in a.option_strings
-        )
-        assert flag.default == CampaignConfig.substrate
-        assert tuple(flag.choices) == SUBSTRATES
+
+def _flags(parser, command=""):
+    """``(command, dest) -> action`` for every flag under ``parser``."""
+    flags = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                flags.update(_flags(sub, f"{command} {name}".strip()))
+        elif action.option_strings and action.dest not in ("help", "version"):
+            flags[(command, action.dest)] = action
+    return flags
+
+
+SEEDED = ("simulate", "train", "faults", "model compile", "rejuvenate", "fleet")
+ANALYSIS = ("aggregate", "select", "train", "predict", "model compile")
+
+#: Config-backed flags: (command, dest) -> the default of the field or
+#: function argument that owns the value.
+CONFIG_DEFAULTS = {
+    **{(command, "seed"): CampaignConfig.seed for command in SEEDED},
+    ("simulate", "failure"): CampaignConfig.failure,
+    **{("simulate", field): getattr(CampaignConfig, field) for field in INJECTOR_FLAGS},
+    ("select", "min_features"): F2PMConfig.selection_min_features,
+    ("train", "smae_frac"): F2PMConfig.smae_threshold_frac,
+    ("model compile", "smae_frac"): F2PMConfig.smae_threshold_frac,
+    ("model compile", "budget"): compile_predictor.__kwdefaults__["budget"],
+    ("model compile", "dtype"): compile_predictor.__kwdefaults__["dtype"],
+    ("ingest", "policy"): read_campaign_csv.__kwdefaults__["policy"],
+    ("rejuvenate", "window"): ManagedSystemConfig.window_seconds,
+    ("fleet", "window"): ManagedSystemConfig.window_seconds,
+    ("fleet", "drain"): FleetConfig.drain_seconds,
+}
+
+#: Config-backed flags whose demonstration default differs from the
+#: field on purpose: (command, dest) -> (field default, flag default).
+DEMO_DEFAULTS = {
+    **{
+        (command, "window"): (AggregationConfig.window_seconds, DEMO_WINDOW)
+        for command in ANALYSIS
+    },
+    ("simulate", "runs"): (CampaignConfig.n_runs, DEMO_RUNS),
+    ("rejuvenate", "runs"): (CampaignConfig.n_runs, DEMO_RUNS),
+    ("train", "models"): (",".join(F2PMConfig.models), "linear,m5p,reptree,svm2"),
+    ("rejuvenate", "horizon"): (ManagedSystemConfig.horizon_seconds, 10_000.0),
+    ("fleet", "horizon"): (ManagedSystemConfig.horizon_seconds, 3000.0),
+    ("fleet", "nodes"): (FleetConfig.n_nodes, 100),
+    ("fleet", "capacity_floor"): (FleetConfig.capacity_floor, 0.8),
+}
+
+#: Flags of every command that no config field backs.
+EVERY_COMMAND = {
+    "verbose", "trace_json", "metrics_json", "telemetry_jsonl",
+    "telemetry_prom", "no_obs", "jobs",
+}
+
+#: Flags no config field backs, by command.
+CLI_ONLY = {
+    ("simulate", "output"), ("simulate", "browsers"), ("simulate", "scenario"),
+    ("simulate", "max_run"), ("scenarios", "describe"),
+    ("aggregate", "output"), ("aggregate", "policy"),
+    ("train", "lasso_predictors"), ("train", "report"), ("train", "save_model"),
+    ("train", "manifest"),
+    ("ingest", "output"), ("ingest", "pattern"), ("ingest", "rt_column"),
+    ("faults", "output"), ("faults", "preset"), ("faults", "spec"),
+    ("faults", "check"), ("predict", "limit"),
+    ("model compile", "output"), ("model compile", "tol"),
+    ("model compile", "val_fraction"),
+    ("rejuvenate", "compiled"), ("fleet", "compiled"), ("obs", "top"),
+    ("top", "once"), ("top", "interval"), ("top", "frames"),
+    ("cache", "dir"), ("cache gc", "spec"),
+    ("campaign", "dir"), ("campaign run", "no_cooperate"),
+}
+
+
+class TestFlagDefaults:
+    """Each config-backed flag states its default once: it reads the
+    field that owns it, or is a demonstration default listed above."""
+
+    def test_every_flag_is_classified(self):
+        classified = {*CONFIG_DEFAULTS, *DEMO_DEFAULTS, *CLI_ONLY}
+        flags = _flags(build_parser())
+        unclassified = [
+            key for key in flags if key[1] not in EVERY_COMMAND and key not in classified
+        ]
+        assert unclassified == []
+        assert classified <= set(flags)  # no stale entries
+
+    def test_config_backed_flags_read_their_field(self):
+        flags = _flags(build_parser())
+        assert {key: flags[key].default for key in CONFIG_DEFAULTS} == CONFIG_DEFAULTS
+
+    def test_demo_defaults_differ_on_purpose(self):
+        flags = _flags(build_parser())
+        for key, (field_default, demo) in DEMO_DEFAULTS.items():
+            assert flags[key].default == demo, key
+            assert demo != field_default, key
+
+    def test_injector_flags_keep_their_names(self):
+        flags = _flags(build_parser())
+        assert {
+            field: flags[("simulate", field)].option_strings for field in INJECTOR_FLAGS
+        } == {
+            "use_time_injectors": ["--time-injectors"],
+            "use_lock_injector": ["--lock-injector"],
+            "use_fd_injector": ["--fd-injector"],
+            "use_conn_injector": ["--conn-injector"],
+            "use_frag_injector": ["--frag-injector"],
+        }
+
+    @pytest.mark.parametrize("key", [("aggregate", "policy"), ("ingest", "policy"),
+                                     ("faults", "check")])
+    def test_policy_choices_are_the_sanitize_policies(self, key):
+        assert tuple(_flags(build_parser())[key].choices) == POLICIES
 
 
 class TestSimulate:

@@ -1,9 +1,9 @@
 """The scenario catalog's smoke battery (ISSUE acceptance grid).
 
 Every preset in :data:`repro.scenarios.SCENARIOS` must (a) resolve to a
-runnable ``CampaignConfig``, (b) simulate bit-identically under both
-substrates (via the fused engine or its declared loop-fallback, counted
-by ``sim.fused_fallback_total``), (c) survive the ``repro.faults``
+runnable ``CampaignConfig``, (b) simulate bit-identically on the engine
+its failure condition picks and on the loop oracle (the fused engine, or
+its declared loop-fallback counted by ``sim.fused_fallback_total``), (c) survive the ``repro.faults``
 corruption battery in repair mode, (d) ride a ``CampaignSpec``
 ``scenario`` axis with a stable, golden-pinned fingerprint so cached
 cells never re-simulate, and (e) reproduce its campaign run as the first
@@ -77,7 +77,7 @@ class TestCatalog:
                 profile="p", anomaly="a", overrides={"not_a_field": 1},
             )
 
-    @pytest.mark.parametrize("reserved", ["seed", "n_runs", "substrate"])
+    @pytest.mark.parametrize("reserved", ["seed", "n_runs"])
     def test_scenario_rejects_reserved_override(self, reserved):
         with pytest.raises(ValueError, match=reserved):
             Scenario(
@@ -91,7 +91,6 @@ class TestCatalog:
             resolved = resolve_scenario(name, base)
             assert resolved.n_runs == 11
             assert resolved.seed == 99
-            assert resolved.substrate == base.substrate
 
     def test_scenario_aliases_handwritten_config(self):
         """A scenario resolves to the *same* cache key as the equivalent
@@ -113,11 +112,9 @@ class TestPresetBitIdentity:
             assert _records_equal(loop, fused), f"{name} diverged (seed {seed})"
 
     def test_fd_leak_counts_loop_fallback(self):
-        """`fd` has no threshold form: the fused substrate must fall back
-        to the loop and say so in ``sim.fused_fallback_total``."""
-        config = dataclasses.replace(
-            resolve_scenario("fd-leak", _short_base()), substrate="fused"
-        )
+        """`fd` has no threshold form: the run must fall back to the loop
+        and say so in ``sim.fused_fallback_total``."""
+        config = resolve_scenario("fd-leak", _short_base())
         metrics = get_metrics()
 
         def fallbacks():
@@ -130,10 +127,7 @@ class TestPresetBitIdentity:
         assert fallbacks() == before + 1
 
     def test_threshold_scenarios_stay_fused(self):
-        config = dataclasses.replace(
-            resolve_scenario("lock-contention", _short_base()),
-            substrate="fused",
-        )
+        config = resolve_scenario("lock-contention", _short_base())
         metrics = get_metrics()
         before = metrics.snapshot()["counters"].get("sim.fused_fallback_total", 0)
         TestbedSimulator(config).run_once(13)
