@@ -5,10 +5,12 @@ campaign (``run_campaign``) and training (``F2PM.run``) wall-clocks at
 ``jobs=1`` and ``jobs=4`` into ``BENCH_parallel.json`` next to this
 file, so later PRs can compare against the same shape of measurement.
 
-The speedup assertion is meaningful only where the hardware can
-actually parallelize — it is enforced when the box has >= 4 CPUs and
-recorded (but not asserted) otherwise, so the baseline file still gets
-seeded on small containers. Determinism, by contrast, is asserted
+A speedup is meaningful only where the hardware can actually run
+``JOBS`` workers at once: on a box with >= 4 CPUs it is recorded and the
+floor is asserted; below that the wall-clocks are still recorded, but
+the speedups are written as ``null`` with the reason ("not measured"),
+because a 4-worker ratio from a smaller box measures oversubscription,
+not the parallel layer. Determinism, by contrast, is asserted
 unconditionally: the parallel run must reproduce the serial bytes.
 """
 
@@ -64,6 +66,7 @@ def test_parallel_baseline(campaign_config, bench_window):
     campaign_speedup = campaign_serial_s / campaign_parallel_s
     f2pm_speedup = f2pm_serial_s / f2pm_parallel_s
     cpus = os.cpu_count() or 1
+    measured = cpus >= JOBS
     record = {
         "bench": "parallel_execution_baseline",
         "cpu_count": cpus,
@@ -72,21 +75,26 @@ def test_parallel_baseline(campaign_config, bench_window):
             "n_runs": campaign_config.n_runs,
             "serial_s": round(campaign_serial_s, 4),
             "parallel_s": round(campaign_parallel_s, 4),
-            "speedup": round(campaign_speedup, 3),
+            "speedup": round(campaign_speedup, 3) if measured else None,
         },
         "f2pm": {
             "n_grid_cells": 2 * (len(f2pm_config.models) + 10),
             "serial_s": round(f2pm_serial_s, 4),
             "parallel_s": round(f2pm_parallel_s, 4),
-            "speedup": round(f2pm_speedup, 3),
+            "speedup": round(f2pm_speedup, 3) if measured else None,
         },
+        "speedup_note": (
+            None
+            if measured
+            else f"not measured: {cpus} CPUs, fewer than jobs={JOBS}"
+        ),
         "deterministic": True,
         "speedup_floor": SPEEDUP_FLOOR,
-        "speedup_asserted": cpus >= JOBS,
+        "speedup_asserted": measured,
     }
     BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
 
-    if cpus >= JOBS:
+    if measured:
         assert campaign_speedup >= SPEEDUP_FLOOR, (
             f"campaign speedup {campaign_speedup:.2f}x at jobs={JOBS} "
             f"below the {SPEEDUP_FLOOR}x floor ({cpus} CPUs)"

@@ -34,7 +34,6 @@ from typing import Any
 
 from repro.obs import get_logger, get_metrics, kv, span
 from repro.store import ArtifactStore, EntryBusy
-from repro.store.checkpoint import CHECKPOINT_EVERY
 from repro.campaign.spec import CampaignCell, CampaignSpec
 from repro.campaign.stages import CellF2PM, run_stage, stage_artifact
 
@@ -233,7 +232,6 @@ class CampaignManager:
         self,
         *,
         jobs: int = 1,
-        checkpoint_every: int = CHECKPOINT_EVERY,
         cooperate: bool = True,
     ) -> CampaignResult:
         """Execute the missing frontier; load everything else.
@@ -261,10 +259,7 @@ class CampaignManager:
                 cell = cell_plan.cell
                 try:
                     outcomes[cell.index] = self._run_cell(
-                        cell,
-                        jobs=jobs,
-                        checkpoint_every=checkpoint_every,
-                        block=not probe,
+                        cell, jobs=jobs, block=not probe
                     )
                 except EntryBusy:
                     _log.info(
@@ -276,12 +271,7 @@ class CampaignManager:
                     outcomes[cell.index] = CellOutcome(cell=cell, error=str(exc))
             for cell in deferred:  # blocking pass: usually plain loads
                 try:
-                    outcomes[cell.index] = self._run_cell(
-                        cell,
-                        jobs=jobs,
-                        checkpoint_every=checkpoint_every,
-                        block=True,
-                    )
+                    outcomes[cell.index] = self._run_cell(cell, jobs=jobs, block=True)
                 except Exception as exc:
                     outcomes[cell.index] = CellOutcome(cell=cell, error=str(exc))
             ordered = tuple(outcomes[c.index] for c in (p.cell for p in plan.cells))
@@ -315,7 +305,6 @@ class CampaignManager:
         cell: CampaignCell,
         *,
         jobs: int,
-        checkpoint_every: int,
         block: bool,
     ) -> CellOutcome:
         """Execute one cell's stage prefix (simulate → … → last stage).
@@ -335,7 +324,6 @@ class CampaignManager:
                     stage,
                     self.store,
                     jobs=jobs,
-                    checkpoint_every=checkpoint_every,
                     block=block,
                     f2pm=f2pm,
                 )

@@ -21,10 +21,10 @@ evaluate    ``report_<fp16>.json``  ``campaign-report``
 ==========  ======================  ===================================
 
 Simulation is checkpointed (:class:`~repro.store.CampaignCheckpoint`)
-every ``checkpoint_every`` runs, so a killed driver resumes the cell
-bit-identically. The train and evaluate stages of one cell share one
-F2PM execution (:class:`CellF2PM`) that lives as long as the cell's
-run. Every stage accepts ``block=False`` to raise
+every :data:`~repro.store.checkpoint.CHECKPOINT_EVERY` runs, so a killed
+driver resumes the cell bit-identically. The train and evaluate stages
+of one cell share one F2PM execution (:class:`CellF2PM`) that lives as
+long as the cell's run. Every stage accepts ``block=False`` to raise
 :class:`~repro.store.EntryBusy` instead of waiting on another driver's
 per-entry lock — the cooperation primitive the manager's multi-driver
 sharding is built on.
@@ -52,7 +52,6 @@ from repro.core.persistence import (
 )
 from repro.obs import get_logger, kv, span
 from repro.store import ArtifactStore, CampaignCheckpoint
-from repro.store.checkpoint import CHECKPOINT_EVERY
 from repro.store.keys import SHORT_DIGEST_LEN, fingerprint
 from repro.system.simulator import CampaignConfig, TestbedSimulator
 
@@ -128,7 +127,6 @@ def simulate_cell(
     store: "ArtifactStore | None",
     *,
     jobs: int = 1,
-    checkpoint_every: int = CHECKPOINT_EVERY,
     block: bool = True,
 ) -> tuple[DataHistory, bool]:
     """Produce-or-load one campaign history; returns ``(history, produced)``.
@@ -147,9 +145,7 @@ def simulate_cell(
     )
 
     def produce() -> DataHistory:
-        return TestbedSimulator(config).run_campaign(
-            jobs=jobs, checkpoint=checkpoint, checkpoint_every=checkpoint_every
-        )
+        return TestbedSimulator(config).run_campaign(jobs=jobs, checkpoint=checkpoint)
 
     return store.get_or_produce(
         f"{name}.npz",
@@ -192,19 +188,12 @@ def aggregate_cell(
     store: "ArtifactStore | None",
     *,
     jobs: int = 1,
-    checkpoint_every: int = CHECKPOINT_EVERY,
     block: bool = True,
 ) -> tuple[TrainingSet, bool]:
     """Aggregate one cell's history into its training set (cached)."""
 
     def produce() -> TrainingSet:
-        history, _ = simulate_cell(
-            cell.config,
-            store,
-            jobs=jobs,
-            checkpoint_every=checkpoint_every,
-            block=block,
-        )
+        history, _ = simulate_cell(cell.config, store, jobs=jobs, block=block)
         return aggregate_history(
             history,
             AggregationConfig(window_seconds=spec.window_seconds),
@@ -365,7 +354,6 @@ def run_stage(
     store: "ArtifactStore | None",
     *,
     jobs: int = 1,
-    checkpoint_every: int = CHECKPOINT_EVERY,
     block: bool = True,
     f2pm: "CellF2PM | None" = None,
 ) -> tuple[Any, bool]:
@@ -376,18 +364,9 @@ def run_stage(
     """
     with span(f"campaign.stage.{stage}", cell=cell.index) as sp:
         if stage == "simulate":
-            value, produced = simulate_cell(
-                cell.config,
-                store,
-                jobs=jobs,
-                checkpoint_every=checkpoint_every,
-                block=block,
-            )
+            value, produced = simulate_cell(cell.config, store, jobs=jobs, block=block)
         elif stage == "aggregate":
-            value, produced = aggregate_cell(
-                spec, cell, store, jobs=jobs,
-                checkpoint_every=checkpoint_every, block=block,
-            )
+            value, produced = aggregate_cell(spec, cell, store, jobs=jobs, block=block)
         elif stage == "train":
             value, produced = train_cell(
                 spec, cell, store, jobs=jobs, block=block, f2pm=f2pm

@@ -345,10 +345,14 @@ class F2PM:
 
             with span("train_validate", n_models=len(grid), jobs=jobs) as sp:
                 if jobs > 1 and len(grid) > 1:
-                    from repro.parallel.training import evaluate_grid_parallel
+                    from repro.parallel import run_tasks
 
-                    outcomes = evaluate_grid_parallel(
-                        grid, splits, smae_threshold=smae_threshold, jobs=jobs
+                    outcomes = run_tasks(
+                        _fit_task,
+                        [(fs, name, model, smae_threshold) for fs, name, model in grid],
+                        jobs=jobs,
+                        labels=[f"fit {name}/{fs}" for fs, name, _ in grid],
+                        context=splits,
                     )
                 else:
                     outcomes = [
@@ -392,6 +396,26 @@ class F2PM:
             trace=root if isinstance(root, Span) else None,
             quality=quality,
         )
+
+
+def _fit_task(
+    payload: "tuple[str, str, Regressor, float]",
+) -> "tuple[ModelReport, Regressor, np.ndarray]":
+    """Worker task of :meth:`F2PM.run`: fit and validate one grid cell on
+    its feature set's split, which ships once per worker as the pool
+    context. The wall-clocks are measured here, where the fit ran."""
+    from repro.parallel import worker_context
+
+    feature_set, name, model, smae_threshold = payload
+    train, validation = worker_context()[feature_set]
+    return evaluate_model(
+        name,
+        model,
+        train,
+        validation,
+        smae_threshold=smae_threshold,
+        feature_set=feature_set,
+    )
 
 
 def _fresh(prototype: Regressor) -> Regressor:

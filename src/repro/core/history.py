@@ -148,10 +148,11 @@ class DataHistory:
         """sha256 over the history's *content* (runs, in order).
 
         Two histories with identical runs fingerprint identically no
-        matter where the objects live — unlike ``id()``, a fingerprint
-        can never alias a garbage-collected history's address to a
-        different campaign. Used as the F2PM memoization key and as the
-        artifact-store identity of a saved campaign.
+        matter where the objects live or which path produced them. It is
+        the equality check of the bit-identity contracts (resumed,
+        parallel, sanitized and cached campaigns against their reference)
+        and the benchmark's per-op history digest; the artifact store
+        keys histories by their config fingerprint instead.
         """
         digest = hashlib.sha256(b"f2pm-history-v1")
         digest.update(struct.pack("<q", len(self.runs)))

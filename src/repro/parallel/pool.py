@@ -1,18 +1,23 @@
-"""Process-pool plumbing shared by the campaign and training layers.
+"""The one worker protocol: a process pool whose tasks report back.
 
-The dispatch contract is deliberately narrow so that every parallel
-entry point in the package behaves identically:
+Every parallel entry point in the package dispatches through
+:func:`run_tasks`, so they all behave identically:
 
 - tasks are submitted with their payload index and results are returned
   **in payload order**, never in completion order — merged artefacts
   (histories, report tables, telemetry) are therefore independent of
   worker scheduling;
+- each worker starts with the parent's observability switches, runs
+  every task in a fresh capture window, and ships the task's spans,
+  metrics and bus points back with its result; the parent merges them
+  in payload order once **every** task has succeeded
+  (:mod:`repro.parallel.telemetry`);
 - the first failing task cancels everything still queued, shuts the
   pool down, and surfaces one :class:`WorkerError` naming the task —
-  no hang, no orphaned pool, no half-merged results;
-- ``jobs=1`` never touches :mod:`concurrent.futures` at all (callers
-  keep their in-process serial path), so the legacy single-process
-  behavior — including its exception types — is always reachable;
+  no hang, no orphaned pool, no half-merged results or telemetry;
+- ``jobs=1`` callers keep their in-process serial path and never call
+  :func:`run_tasks`, so the single-process behavior — including its
+  exception types — is always reachable;
 - payload data shared by many tasks can ship **once per worker** via
   ``run_tasks(..., context=...)`` instead of once per task: the context
   object is pickled into each worker at pool start (an initializer) and
@@ -28,6 +33,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from typing import Any, Callable, Sequence
+
+from repro import obs
+from repro.parallel import telemetry
 
 
 class WorkerError(RuntimeError):
@@ -51,10 +59,20 @@ class WorkerError(RuntimeError):
 _worker_context: Any = None
 
 
-def _set_worker_context(context: Any) -> None:
+def _init_worker(context: Any, switches: tuple[bool, bool, bool]) -> None:
     """Pool initializer: runs once in each worker process."""
     global _worker_context
     _worker_context = context
+    telemetry.configure_worker(*switches)
+
+
+def _run_captured(
+    worker: Callable[[Any], Any], payload: Any
+) -> tuple[Any, telemetry.WorkerTelemetry]:
+    """Run one task in a fresh capture window; return its result and
+    the telemetry it recorded."""
+    obs.reset()
+    return worker(payload), telemetry.collect()
 
 
 def worker_context() -> Any:
@@ -87,9 +105,12 @@ def run_tasks(
     """Run ``worker(payload)`` for every payload on ``jobs`` processes.
 
     Returns the results **ordered by payload index** regardless of
-    completion order. On the first task failure the remaining queued
-    tasks are cancelled, the pool is shut down, and a
-    :class:`WorkerError` naming the failing task is raised.
+    completion order, after merging each task's spans, metrics and bus
+    points into this process in the same order — under the caller's
+    open span, so worker spans land where the serial path puts them.
+    On the first task failure the remaining queued tasks are cancelled,
+    the pool is shut down, nothing is merged, and a :class:`WorkerError`
+    naming the failing task is raised.
 
     ``worker`` must be a module-level callable and every payload must be
     picklable (the usual :mod:`multiprocessing` constraints). A non-None
@@ -106,13 +127,15 @@ def run_tasks(
     if labels is not None and len(labels) != len(payloads):
         raise ValueError("labels must align with payloads")
 
-    results: list[Any] = [None] * len(payloads)
+    outcomes: list[Any] = [None] * len(payloads)
     with ProcessPoolExecutor(
         max_workers=min(jobs, len(payloads)),
-        initializer=_set_worker_context if context is not None else None,
-        initargs=(context,) if context is not None else (),
+        initializer=_init_worker,
+        initargs=(context, telemetry.switches()),
     ) as pool:
-        futures = {pool.submit(worker, p): i for i, p in enumerate(payloads)}
+        futures = {
+            pool.submit(_run_captured, worker, p): i for i, p in enumerate(payloads)
+        }
         done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
         failed: "tuple[int, BaseException] | None" = None
         for fut in done:
@@ -129,5 +152,7 @@ def run_tasks(
         # FIRST_EXCEPTION with no exception == ALL_COMPLETED.
         assert not not_done
         for fut, idx in futures.items():
-            results[idx] = fut.result()
-    return results
+            outcomes[idx] = fut.result()
+    for _, captured in outcomes:
+        telemetry.merge(captured)
+    return [result for result, _ in outcomes]

@@ -1,23 +1,24 @@
 """Worker-side observability capture and parent-side merge.
 
-Each worker task runs against the worker process's *own* global tracer,
-metrics registry and telemetry bus (with the default ``fork`` start
-method these begin as copies of the parent's). To keep accounting exact:
+:func:`repro.parallel.run_tasks` is the one caller. Each worker task runs
+against the worker process's *own* global tracer, metrics registry and
+telemetry bus, and four steps keep the accounting exact:
 
-1. :func:`configure_worker` aligns the worker's obs switches with the
-   parent's (shipped in the task payload, so ``--no-obs`` and
-   ``F2PM_OBS=0`` behave identically under any start method);
-2. :func:`begin_capture` resets the worker's tracer + registry + bus,
-   so the task records a clean delta (nothing inherited from the parent
-   via ``fork``, nothing left over from a previous task on this worker);
+1. the pool initializer calls :func:`configure_worker` once per worker
+   with the parent's :func:`switches`, so ``--no-obs`` and
+   ``F2PM_OBS=0`` behave identically under any start method (a
+   ``fork``-ed worker inherits them, a ``spawn``-ed one would not);
+2. before each task, :func:`repro.obs.reset` opens a fresh window, so
+   the task records a clean delta (nothing inherited from the parent
+   via ``fork``, nothing left over from the worker's previous task);
 3. :func:`collect` exports the delta as a picklable
    :class:`WorkerTelemetry`, shipped back alongside the task result;
-4. :func:`merge` folds the telemetry into the parent registry/tracer/
-   bus — counters add, gauges last-write-wins, histograms pool
-   bucket-exactly, span trees are grafted under the parent's open span,
-   and time-series points replay through the parent bus (feeding any
-   attached exporter). Callers merge in task-index order, so manifests
-   and telemetry streams are deterministic for any worker count.
+4. once every task has succeeded, :func:`merge` folds each delta into
+   the parent in payload order — counters add, gauges last-write-wins,
+   histograms pool bucket-exactly, span trees are grafted under the
+   parent's open span, and time-series points replay through the
+   parent bus (feeding any attached exporter). Manifests and telemetry
+   streams are therefore deterministic for any worker count.
 """
 
 from __future__ import annotations
@@ -41,32 +42,22 @@ class WorkerTelemetry:
     series: dict[str, Any] = field(default_factory=dict)
 
 
-def configure_worker(trace_on: bool, metrics_on: bool, bus_on: "bool | None" = None) -> None:
-    """Align this process's obs switches with the parent's.
-
-    ``bus_on`` defaults to ``metrics_on`` — the telemetry bus ships its
-    switch with the metrics switch unless a payload says otherwise,
-    which keeps older two-field payloads behaving identically.
-    """
-    tracer = get_tracer()
-    registry = get_metrics()
-    bus = get_telemetry()
-    tracer.enable() if trace_on else tracer.disable()
-    registry.enable() if metrics_on else registry.disable()
-    if bus_on is None:
-        bus_on = metrics_on
-    bus.enable() if bus_on else bus.disable()
+def switches() -> tuple[bool, bool, bool]:
+    """This process's tracer, metrics and bus switches."""
+    return get_tracer().enabled, get_metrics().enabled, get_telemetry().enabled
 
 
-def begin_capture() -> None:
-    """Start a fresh measurement window in this (worker) process."""
-    get_tracer().reset()
-    get_metrics().reset()
-    get_telemetry().reset()
+def configure_worker(trace_on: bool, metrics_on: bool, bus_on: bool) -> None:
+    """Set this process's obs switches to the parent's :func:`switches`."""
+    for instrument, on in zip(
+        (get_tracer(), get_metrics(), get_telemetry()),
+        (trace_on, metrics_on, bus_on),
+    ):
+        instrument.enable() if on else instrument.disable()
 
 
 def collect() -> WorkerTelemetry:
-    """Export everything recorded since :func:`begin_capture`."""
+    """Export everything recorded since the task's window opened."""
     tracer = get_tracer()
     registry = get_metrics()
     bus = get_telemetry()
@@ -77,7 +68,7 @@ def collect() -> WorkerTelemetry:
     )
 
 
-def merge(telemetry: "WorkerTelemetry | None") -> None:
+def merge(telemetry: WorkerTelemetry) -> None:
     """Fold one task's telemetry into the parent registry/tracer/bus.
 
     Span trees are attached under the innermost open span on the
@@ -86,11 +77,9 @@ def merge(telemetry: "WorkerTelemetry | None") -> None:
     Bus points replay through the parent's :meth:`TelemetryBus.emit`,
     so streaming sinks (``--telemetry-jsonl``) see worker points too.
     """
-    if telemetry is None:
-        return
     if telemetry.metrics:
         get_metrics().merge_state(telemetry.metrics)
-    if getattr(telemetry, "series", None):
+    if telemetry.series:
         get_telemetry().merge_state(telemetry.series)
     tracer = get_tracer()
     if tracer.enabled:

@@ -29,8 +29,9 @@ if TYPE_CHECKING:  # lazy: repro.core.history imports repro.store.atomic
 
 _log = get_logger("store.checkpoint")
 
-#: Runs between checkpoint saves when the caller names no cadence: a
-#: killed campaign loses at most this many runs minus one.
+#: Runs between checkpoint saves, read by
+#: :meth:`~repro.system.TestbedSimulator.run_campaign` at each campaign:
+#: a killed campaign loses at most this many runs minus one.
 CHECKPOINT_EVERY = 5
 
 

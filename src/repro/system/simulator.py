@@ -49,7 +49,8 @@ from repro.system.schedule import ConstantLoad, LoadSchedule
 from repro.system.server import AppServer, ServerConfig
 from repro.system.tpcw import SHOPPING_MIX, EmulatedBrowserPool, TPCWMix
 from repro.obs import get_logger, get_metrics, get_telemetry, kv, span
-from repro.store.checkpoint import CHECKPOINT_EVERY, CampaignCheckpoint
+from repro.store import checkpoint as store_checkpoint
+from repro.store.checkpoint import CampaignCheckpoint
 from repro.utils.rng import as_rng
 
 _log = get_logger("system.simulator")
@@ -477,7 +478,8 @@ class TestbedSimulator:
     ) -> list[RunRecord]:
         """Simulate one run per (pre-spawned) generator.
 
-        With ``jobs > 1`` the runs fan out to a process pool; results
+        With ``jobs > 1`` the runs fan out to a process pool, and each
+        run's telemetry merges under the caller's open span; results
         come back in generator order either way, and since every
         generator was spawned before dispatch the records are
         bit-identical for any worker count. ``jobs=1`` is the in-process
@@ -488,10 +490,14 @@ class TestbedSimulator:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if jobs > 1 and len(rngs) > 1:
-            from repro.parallel.campaign import run_campaign_parallel
+            from repro.parallel import run_tasks
 
-            runs = run_campaign_parallel(
-                self, list(rngs), jobs=jobs, start_index=start_index
+            indices = range(start_index, start_index + len(rngs))
+            runs = run_tasks(
+                _run_task,
+                [(self, i, rng) for i, rng in zip(indices, rngs)],
+                jobs=jobs,
+                labels=[f"campaign run {i}" for i in indices],
             )
         else:
             runs = (
@@ -516,7 +522,6 @@ class TestbedSimulator:
         jobs: int = 1,
         *,
         checkpoint: "CampaignCheckpoint | None" = None,
-        checkpoint_every: int = CHECKPOINT_EVERY,
     ) -> DataHistory:
         """Simulate ``n_runs`` restart cycles (the week-long experiment).
 
@@ -525,10 +530,12 @@ class TestbedSimulator:
         worker count — see ``docs/PARALLELISM.md``.
 
         With a :class:`~repro.store.CampaignCheckpoint`, the completed
-        prefix is persisted every ``checkpoint_every`` runs and a killed
+        prefix is persisted every
+        :data:`~repro.store.checkpoint.CHECKPOINT_EVERY` runs and a killed
         campaign resumes from it — bit-identically, because every run's
         stream is pre-spawned from the campaign seed regardless of where
-        the resume happened. The checkpoint is discarded on completion.
+        the resume or a chunk boundary falls. A kill loses at most one
+        chunk of work. The checkpoint is discarded on completion.
         """
         rngs = as_rng(self.config.seed).spawn(self.config.n_runs)
         done: list[RunRecord] = []
@@ -564,21 +571,19 @@ class TestbedSimulator:
             for record in done:
                 history.add_run(record)
             remaining = rngs[len(done) :]
-            if checkpoint is None:
-                new = self.run_many(remaining, jobs=jobs)
-            else:
-                from repro.parallel.campaign import run_campaign_checkpointed
-
-                new = run_campaign_checkpointed(
-                    self,
-                    remaining,
-                    done=done,
-                    checkpoint=checkpoint,
-                    every=checkpoint_every,
+            # One chunk, unless a checkpoint persists the prefix between them.
+            chunk = len(remaining) or 1
+            if checkpoint is not None:
+                chunk = store_checkpoint.CHECKPOINT_EVERY
+            for start in range(0, len(remaining), chunk):
+                for record in self.run_many(
+                    remaining[start : start + chunk],
                     jobs=jobs,
-                )
-            for record in new:
-                history.add_run(record)
+                    start_index=len(done) + start,
+                ):
+                    history.add_run(record)
+                if checkpoint is not None and start + chunk < len(remaining):
+                    checkpoint.save(history.runs)
             sp.set(
                 datapoints=history.n_datapoints,
                 mean_run_length=history.mean_run_length,
@@ -594,3 +599,14 @@ class TestbedSimulator:
             ),
         )
         return history
+
+
+def _run_task(payload: "tuple[TestbedSimulator, int, np.random.Generator]") -> RunRecord:
+    """Worker task of :meth:`TestbedSimulator.run_many`: one indexed run.
+
+    The failure condition rides along in the pickled simulator and picks
+    the engine there as it does in the parent, so ``jobs=N`` on the
+    fused engine stays bit-identical to ``jobs=1`` on the loop.
+    """
+    simulator, index, rng = payload
+    return simulator.run_indexed(index, rng)

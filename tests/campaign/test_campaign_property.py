@@ -121,11 +121,12 @@ TORTURE_DRIVER = textwrap.dedent(
     import sys
 
     from repro.campaign import CampaignManager, CampaignSpec
-    from repro.store import ArtifactStore
+    from repro.store import ArtifactStore, checkpoint
 
+    checkpoint.CHECKPOINT_EVERY = 1
     spec = CampaignSpec.from_json_file(sys.argv[1])
     print("started", flush=True)
-    CampaignManager(spec, ArtifactStore()).run(jobs=1, checkpoint_every=1)
+    CampaignManager(spec, ArtifactStore()).run(jobs=1)
     print("finished", flush=True)
     """
 )
@@ -155,7 +156,7 @@ def test_sigkill_mid_campaign_then_rerun_is_bit_identical(tmp_path):
     env["F2PM_CACHE_DIR"] = str(shared)
     env["PYTHONPATH"] = f"{repo / 'src'}{os.pathsep}{env.get('PYTHONPATH', '')}"
 
-    # Kill a driver mid-campaign (checkpoint_every=1 makes any moment
+    # Kill a driver mid-campaign (a cadence of 1 makes any moment
     # mid-campaign); retry with a longer fuse if it finished too fast.
     killed = False
     for fuse in (0.4, 0.2, 0.1):

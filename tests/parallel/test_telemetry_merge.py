@@ -64,14 +64,6 @@ def test_empty_worker_buffer_merges_as_a_no_op():
     assert bus.snapshot() == before
 
 
-def test_merge_of_none_telemetry_is_a_no_op():
-    bus = get_telemetry()
-    bus.emit("a", 1.0, 1.0)
-    before = bus.snapshot()
-    merge(None)
-    assert bus.snapshot() == before
-
-
 def test_disabled_bus_stays_empty_across_workers():
     obs.disable()
     try:

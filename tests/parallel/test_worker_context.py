@@ -37,56 +37,56 @@ def test_parent_process_context_is_none():
 
 
 class TestGridPayloadDedup:
-    def _grid(self):
-        from repro.core.dataset import TrainingSet
-        from repro.ml.linear import LinearRegression
+    """``F2PM.run(jobs=2)`` ships each feature set's split once per worker."""
 
-        rng = np.random.default_rng(0)
-        mk = lambda n: TrainingSet(  # noqa: E731
-            X=rng.normal(size=(n, 2)), y=rng.normal(size=n), feature_names=("a", "b")
+    @staticmethod
+    def _config():
+        from repro.core import AggregationConfig, F2PMConfig
+
+        return F2PMConfig(
+            aggregation=AggregationConfig(window_seconds=30.0),
+            models=("linear", "reptree"),
+            lasso_predictor_lambdas=(),
+            seed=0,
         )
-        train, val = mk(40), mk(10)
-        grid = [("all", f"lr{i}", LinearRegression()) for i in range(3)]
-        return grid, {"all": (train, val)}
 
-    def test_shared_split_ships_via_context_not_payload(self):
+    def test_shared_split_ships_via_context_not_payload(
+        self, serial_history, monkeypatch
+    ):
         """Grid cells sharing a split must not re-pickle it per task."""
-        from repro.parallel import training
+        import repro.parallel
+        from repro.core import F2PM
+        from repro.core.dataset import TrainingSet
 
-        grid, splits = self._grid()
-        train, val = splits["all"]
         captured = {}
-        original = training.run_tasks
+        original = repro.parallel.run_tasks
 
         def spy(worker, payloads, **kwargs):
             captured["payloads"] = list(payloads)
             captured["context"] = kwargs.get("context")
             return original(worker, payloads, **kwargs)
 
-        training.run_tasks = spy
-        try:
-            results = training.evaluate_grid_parallel(
-                grid, splits, smae_threshold=10.0, jobs=2
-            )
-        finally:
-            training.run_tasks = original
+        monkeypatch.setattr(repro.parallel, "run_tasks", spy)
+        result = F2PM(self._config()).run(serial_history, jobs=2)
 
-        assert len(results) == 3
-        # every payload leans on the context; none carries the split inline
+        assert len(captured["payloads"]) == len(result.reports) == 4
+        # every payload leans on the context; none carries a split inline
         for payload in captured["payloads"]:
-            assert "train" not in payload
-        assert captured["context"]["all"] == (train, val)
+            fields = payload.values() if isinstance(payload, dict) else payload
+            assert not any(isinstance(f, TrainingSet) for f in fields)
+        context = captured["context"]
+        assert set(context) == {"all", "selected"}
+        for train, validation in context.values():
+            assert isinstance(train, TrainingSet)
+            assert isinstance(validation, TrainingSet)
+        assert np.array_equal(context["all"][1].y, result.y_validation)
+        assert context["selected"][0].n_features == result.selection.n_selected
 
-    def test_grid_results_match_serial(self):
-        from repro.parallel import training
+    def test_grid_results_match_serial(self, serial_history):
+        from repro.core import F2PM
 
-        grid, splits = self._grid()
-        parallel = training.evaluate_grid_parallel(
-            grid, splits, smae_threshold=10.0, jobs=2
-        )
-        serial = training.evaluate_grid_parallel(
-            grid, splits, smae_threshold=10.0, jobs=1
-        )
-        for (rp, _, pp), (rs, _, ps) in zip(parallel, serial):
-            assert rp.mae == rs.mae
-            assert np.array_equal(pp, ps)
+        parallel = F2PM(self._config()).run(serial_history, jobs=2)
+        serial = F2PM(self._config()).run(serial_history, jobs=1)
+        assert [r.mae for r in parallel.reports] == [r.mae for r in serial.reports]
+        for key, pred in serial.predictions.items():
+            assert np.array_equal(parallel.predictions[key], pred)

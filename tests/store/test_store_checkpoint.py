@@ -15,11 +15,18 @@ import pytest
 from repro.core import AggregationConfig, F2PMConfig
 from repro.core.incremental import IncrementalCollector, IncrementalConfig
 from repro.store import CampaignCheckpoint
+from repro.store import checkpoint as store_checkpoint
 from repro.system import TestbedSimulator
 
 
 def fingerprints(history):
     return history.content_fingerprint()
+
+
+@pytest.fixture
+def every_two(monkeypatch):
+    """Checkpoint every 2 runs, so a 4-run campaign saves mid-way."""
+    monkeypatch.setattr(store_checkpoint, "CHECKPOINT_EVERY", 2)
 
 
 @pytest.fixture
@@ -34,12 +41,11 @@ def make_ckpt(tmp_path, campaign, **kw):
     return CampaignCheckpoint(tmp_path / "c.ckpt.npz", **kw)
 
 
+@pytest.mark.usefixtures("every_two")
 class TestCampaignResume:
     def test_checkpointed_equals_plain(self, tmp_path, campaign, plain):
         ckpt = make_ckpt(tmp_path, campaign)
-        history = TestbedSimulator(campaign).run_campaign(
-            checkpoint=ckpt, checkpoint_every=2
-        )
+        history = TestbedSimulator(campaign).run_campaign(checkpoint=ckpt)
         assert fingerprints(history) == fingerprints(plain)
 
     def test_resume_from_prefix_is_bit_identical(self, tmp_path, campaign, plain):
@@ -47,22 +53,18 @@ class TestCampaignResume:
         # prefix, the restarted campaign simulates only the remainder.
         ckpt = make_ckpt(tmp_path, campaign)
         ckpt.save(list(plain.runs)[:2])
-        history = TestbedSimulator(campaign).run_campaign(
-            checkpoint=ckpt, checkpoint_every=2
-        )
+        history = TestbedSimulator(campaign).run_campaign(checkpoint=ckpt)
         assert fingerprints(history) == fingerprints(plain)
 
     def test_parallel_resume_is_bit_identical(self, tmp_path, campaign, plain):
         ckpt = make_ckpt(tmp_path, campaign)
         ckpt.save(list(plain.runs)[:3])
-        history = TestbedSimulator(campaign).run_campaign(
-            jobs=2, checkpoint=ckpt, checkpoint_every=2
-        )
+        history = TestbedSimulator(campaign).run_campaign(jobs=2, checkpoint=ckpt)
         assert fingerprints(history) == fingerprints(plain)
 
     def test_checkpoint_discarded_on_completion(self, tmp_path, campaign):
         ckpt = make_ckpt(tmp_path, campaign)
-        TestbedSimulator(campaign).run_campaign(checkpoint=ckpt, checkpoint_every=2)
+        TestbedSimulator(campaign).run_campaign(checkpoint=ckpt)
         assert not ckpt.path.exists()
         assert not ckpt._meta_path.exists()
         assert ckpt.load() == ([], {})
@@ -112,6 +114,7 @@ class TestCheckpointValidation:
             type(plain)(runs=list(plain.runs)[:2])
         )
 
+    @pytest.mark.usefixtures("every_two")
     def test_invalid_checkpoint_still_yields_correct_campaign(
         self, tmp_path, campaign, plain
     ):
@@ -120,9 +123,7 @@ class TestCheckpointValidation:
         ckpt = make_ckpt(tmp_path, campaign)
         ckpt.save(list(plain.runs)[:2])
         ckpt.path.write_bytes(b"rot")
-        history = TestbedSimulator(campaign).run_campaign(
-            checkpoint=ckpt, checkpoint_every=2
-        )
+        history = TestbedSimulator(campaign).run_campaign(checkpoint=ckpt)
         assert fingerprints(history) == fingerprints(plain)
 
 
